@@ -106,7 +106,6 @@ from .relalg import (
     relations_from_facts,
     rename,
     select,
-    select_where,
     union,
 )
 from .rules import (

@@ -38,6 +38,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _read_xml(path: str) -> bytes | str:
+    """An XML input as bytes, so that expat honours its encoding declaration.
+
+    A standard input that is a text stream without a byte buffer is read
+    as text.
+    """
+    if path == "-":
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _emit(text: str, out_path: str | None, stdout) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -181,13 +193,13 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def _dispatch(args: argparse.Namespace, stdout) -> int:
     if args.command == "canon":
-        doc = canonicalize(parse(_read(args.input)))
+        doc = canonicalize(parse(_read_xml(args.input)))
         _emit(serialize(doc, args.xml_declaration) + "\n", args.output, stdout)
         return EXIT_OK
 
     if args.command in ("encode", "decode"):
         config = _sentinels(args.sentinels)
-        doc = parse(_read(args.input))
+        doc = parse(_read_xml(args.input))
         if args.command == "encode":
             result = encode_core(doc, config)
         else:
@@ -196,7 +208,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return EXIT_OK
 
     if args.command == "query":
-        doc = parse(_read(args.input))
+        doc = parse(_read_xml(args.input))
         path = parse_path_text(args.path)
         results = eval_path(
             doc, path, mode=args.solutions, coerce_text=not args.no_coerce_text
@@ -211,7 +223,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
             coerce_text=not args.no_coerce_text,
             default_copy_text=args.default_copy_text,
         )
-        doc = parse(_read(args.input))
+        doc = parse(_read_xml(args.input))
         result = transform_document(ruleset, doc)
         nodes = result.nodes
         if not result.well_formed and args.wrap_root:

@@ -9,22 +9,24 @@ element, its children are visited and their outputs concatenated; an
 unmatched non-element node emits nothing.  Matching then continues with
 the siblings of the matched node.
 
-In the default first-solution mode a fired rule commits to the first
-solution of its goal conjunction, and a transform goal commits to the
-first result of its path.  In all-solutions mode the first matching
-rule still wins, but every solution of its goals is enumerated and their
-output hedges are concatenated, with transform goals offering each path
-result as an alternative on backtracking.
+In the default first-solution mode a transform goal commits to the
+first result of its path.  That is the only choice point a goal has, so
+a fired rule then has exactly one solution of its goal conjunction.  In
+all-solutions mode the first matching rule still wins, but every
+solution of its goals is enumerated and their output hedges are
+concatenated, with transform goals offering each path result as an
+alternative on backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from .nodes import Element, Hedge, Node, Text
-from .queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, eval_path
+from .queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, _coerced_text, eval_path
 from .rules import ApplyTemplates, Goal, Not, Rule, RuleSet, Transform, Unify
 from .terms import (
     Int,
@@ -34,7 +36,6 @@ from .terms import (
     Term,
     apply_subst,
     is_ground,
-    node_to_term,
     term_to_node,
     unify,
 )
@@ -47,17 +48,7 @@ def _result_to_term(result: Result) -> Term:
         return Int(result)
     if isinstance(result, tuple):
         return Seq(tuple(Int(k) for k in result))
-    return node_to_term(result)
-
-
-def _coerce_transform_result(result: Result, enabled: bool) -> Iterator[Result]:
-    """An element result stands for its direct text children when coercion is on."""
-    if enabled and isinstance(result, Element):
-        for child in result.children:
-            if isinstance(child, Text):
-                yield child.content
-    else:
-        yield result
+    return result
 
 
 def _bound_node(theta: Substitution, term: Term, what: str) -> Node:
@@ -104,27 +95,25 @@ def solve_goals(
             coerce_text=rs.coerce_text,
             root=ctx,
         )
-        flattened = (
+        # An element result stands for its direct text children when coercion is on.
+        values = (
             value
             for result in results
-            for value in _coerce_transform_result(result, rs.coerce_text)
+            for value in (
+                _coerced_text(result)
+                if rs.coerce_text and isinstance(result, Element)
+                else (result,)
+            )
         )
         if rs.solution_mode == FIRST_ONLY:
-            first = next(flattened, None)
-            if first is None:
-                return
-            delta = unify(apply_subst(theta, goal.result), _result_to_term(first))
+            values = islice(values, 1)
+        for value in values:
+            delta = unify(apply_subst(theta, goal.result), _result_to_term(value))
             if delta is not None:
                 yield from solve_goals(rs, rest, theta.compose(delta), ctx)
-        else:
-            for value in flattened:
-                delta = unify(apply_subst(theta, goal.result), _result_to_term(value))
-                if delta is not None:
-                    yield from solve_goals(rs, rest, theta.compose(delta), ctx)
     elif isinstance(goal, ApplyTemplates):
         node = _bound_node(theta, goal.node, "template goal node")
-        hedge = tuple(_emit(rs, node, ctx))
-        produced = Seq(tuple(node_to_term(n) for n in hedge))
+        produced = Seq(tuple(_emit(rs, node, ctx)))
         delta = unify(apply_subst(theta, goal.result), produced)
         if delta is not None:
             yield from solve_goals(rs, rest, theta.compose(delta), ctx)
@@ -146,17 +135,10 @@ def _instantiate_output(rule: Rule, theta: Substitution) -> Iterator[Node]:
 
 
 def _emit(rs: RuleSet, node: Node, root: Node) -> Iterator[Node]:
-    node_term = node_to_term(node)
     for rule in rs.rules:
-        theta = unify(rule.head, node_term)
+        theta = unify(rule.head, node)
         if theta is None:
             continue
-        if rs.solution_mode == FIRST_ONLY:
-            solution = next(solve_goals(rs, rule.goals, theta, root), None)
-            if solution is None:
-                continue
-            yield from _instantiate_output(rule, solution)
-            return
         fired = False
         for solution in solve_goals(rs, rule.goals, theta, root):
             fired = True

@@ -8,7 +8,7 @@ rule files supply atoms, integers, and strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import ArityError, ColumnError, LtlxError
 from .rules import Fact, parse_term_text
@@ -71,15 +71,6 @@ def select(r: Relation, s: Relation) -> Relation:
     """Intersection form: `s` is the characteristic relation of the predicate."""
     _require_same_arity(r, s, "select")
     return Relation("t", r.arity, r.tuples & s.tuples)
-
-
-def select_where(r: Relation, predicate: Callable[[tuple[Scalar, ...]], bool]) -> Relation:
-    """Formula-style selection, as an extension to the relation form.
-
-    Not reachable from fact files or the expression evaluator; callers
-    that want a computed predicate opt in through the API.
-    """
-    return Relation("t", r.arity, frozenset(row for row in r.tuples if predicate(row)))
 
 
 def rename(r: Relation, new_name: str) -> Relation:

@@ -1,8 +1,10 @@
 """Pattern terms, most-general unification, and substitutions.
 
-Template heads are terms with variables; documents embed as ground terms.
-Matching a head against a node is a single unification, and the bindings
-it produces drive goal solving and output construction.
+Template heads are terms with variables; document nodes are ground terms.
+Matching a head against a node is a single unification that looks into
+the node only as deep as the head does.  Variables bind to the node
+objects themselves, so the output a rule builds shares the subtrees it
+bound instead of copying them.
 """
 
 from __future__ import annotations
@@ -87,10 +89,13 @@ class Seq:
         return "[" + ",".join(repr(i) for i in self.items) + "]"
 
 
-Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq]
+Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node]
+
+_NODES = (Element, Text, PI, Comment)
+_LEAF_FUNCTORS = {"text": Text, "pi": PI, "comment": Comment}
+_LEAF_NAMES = {leaf: name for name, leaf in _LEAF_FUNCTORS.items()}
 
 _anon_ids = itertools.count(1)
-_FRESH_PREFIX = "_G"
 
 
 def anon() -> Anonymous:
@@ -161,17 +166,6 @@ def apply_subst(theta: Substitution | Mapping[str, Term], term: Term) -> Term:
     return term
 
 
-def _rename_wildcards(term: Term) -> Term:
-    """Give every wildcard occurrence a fresh internal variable name."""
-    if isinstance(term, Anonymous):
-        return Var(f"{_FRESH_PREFIX}{next(_anon_ids)}")
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_rename_wildcards(a) for a in term.args))
-    if isinstance(term, Seq):
-        return Seq(tuple(_rename_wildcards(i) for i in term.items))
-    return term
-
-
 def _walk(term: Term, bindings: dict[str, Term]) -> Term:
     while isinstance(term, Var) and term.name in bindings:
         term = bindings[term.name]
@@ -189,9 +183,23 @@ def _occurs(name: str, term: Term, bindings: dict[str, Term]) -> bool:
     return False
 
 
+def _view(node: Node) -> Compound:
+    """A node one level deep as its element/text/pi/comment compound.
+
+    The children of an element stay node objects, so a pattern only looks
+    as deep into a document as it is itself deep.
+    """
+    if isinstance(node, Element):
+        attrs = tuple(Compound("=", (Atom(a.name), Str(a.value))) for a in node.attributes)
+        return Compound("element", (Atom(node.name), Seq(attrs), Seq(node.children)))
+    return Compound(_LEAF_NAMES[type(node)], (Str(node.content),))
+
+
 def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
     a = _walk(a, bindings)
     b = _walk(b, bindings)
+    if isinstance(a, Anonymous) or isinstance(b, Anonymous):
+        return True
     if isinstance(a, Var):
         if isinstance(b, Var) and b.name == a.name:
             return True
@@ -204,6 +212,12 @@ def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
             return False
         bindings[b.name] = a
         return True
+    if isinstance(a, _NODES):
+        if isinstance(b, _NODES):
+            return a == b
+        a = _view(a)
+    elif isinstance(b, _NODES):
+        b = _view(b)
     if isinstance(a, Atom) and isinstance(b, Atom):
         return a.text == b.text
     if isinstance(a, Str) and isinstance(b, Str):
@@ -236,50 +250,39 @@ def unify(a: Term, b: Term) -> Substitution | None:
     Runs with the occurs check on, so unify(X, f(X)) fails.  Sequences
     unify element-wise and only at equal length; there is no splicing of
     partial hedges.  Wildcard occurrences match anything and leave no
-    binding in the result.
+    binding in the result.  Two nodes unify when they are equal; a node
+    meeting a pattern unifies as its node_to_term shape, and variables
+    bind to the node objects themselves.
     """
     bindings: dict[str, Term] = {}
-    if not _unify(_rename_wildcards(a), _rename_wildcards(b), bindings):
+    if not _unify(a, b, bindings):
         return None
-    solved = {
-        name: _resolve(term, bindings)
-        for name, term in bindings.items()
-        if not name.startswith(_FRESH_PREFIX)
-    }
-    return Substitution(solved)
+    return Substitution({name: _resolve(term, bindings) for name, term in bindings.items()})
 
 
 def node_to_term(node: Node) -> Term:
-    """Embed a document node as a ground term.
+    """Embed a document node as a ground term without nodes in it.
 
     element(n, attrs, children) maps to the compound
     element(n, [name="value", ...], [child terms]); text/pi/comment wrap
     their content in a string literal.
     """
-    if isinstance(node, Text):
-        return Compound("text", (Str(node.content),))
-    if isinstance(node, PI):
-        return Compound("pi", (Str(node.content),))
-    if isinstance(node, Comment):
-        return Compound("comment", (Str(node.content),))
-    attrs = Seq(
-        tuple(
-            Compound("=", (Atom(a.name), Str(a.value))) for a in node.attributes
-        )
-    )
-    children = Seq(tuple(node_to_term(c) for c in node.children))
-    return Compound("element", (Atom(node.name), attrs, children))
-
-
-_LEAF_FUNCTORS = {"text": Text, "pi": PI, "comment": Comment}
+    term = _view(node)
+    if isinstance(node, Element):
+        name, attrs, children = term.args
+        term = Compound("element", (name, attrs, Seq(tuple(map(node_to_term, children.items)))))
+    return term
 
 
 def term_to_node(term: Term) -> Node:
     """Convert a ground, node-shaped term back into a node.
 
-    Raises UnboundOutputError naming the variable when the term still
-    contains one, and ShapeError when the term is not node-shaped.
+    Nodes inside the term are returned as they are, not copied.  Raises
+    UnboundOutputError naming the variable when the term still contains
+    one, and ShapeError when the term is not node-shaped.
     """
+    if isinstance(term, _NODES):
+        return term
     if isinstance(term, Var):
         raise UnboundOutputError(term.name)
     if isinstance(term, Anonymous):

@@ -18,9 +18,10 @@ from .nodes import Attribute, Comment, Element, Node, PI, Text
 __all__ = ["ParseDiagnostic", "ParseError", "parse", "serialize"]
 
 
-def parse(xml_text: str) -> Element:
-    """Parse UTF-8 XML text into its root element.
+def parse(xml_text: str | bytes) -> Element:
+    """Parse XML text into its root element.
 
+    Bytes are decoded as their XML declaration says, UTF-8 by default.
     Elements, attributes, character data, comments, and processing
     instructions are preserved; CDATA sections fold into plain text; the
     five predefined entities and numeric character references are

@@ -48,6 +48,14 @@ class TestCanon:
         assert code == EXIT_ERROR
         assert "duplicate" in err
 
+    def test_encoding_declaration_is_honoured(self, tmp_path):
+        path = tmp_path / "latin1.xml"
+        source = '<?xml version="1.0" encoding="ISO-8859-1"?>\n<doc z="é" a="ü">café</doc>'
+        path.write_bytes(source.encode("iso-8859-1"))
+        code, out, err = invoke("canon", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == '<doc a="ü" z="é">café</doc>\n'
+
 
 class TestEncodeDecode:
     def test_round_trip(self, xml_file):

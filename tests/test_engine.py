@@ -18,6 +18,7 @@ from ltlx import (
     node_to_term,
     parse_rules,
     pi,
+    serialize,
     solve_goals,
     text,
     transform_document,
@@ -259,3 +260,29 @@ class TestTransformDocument:
     def test_non_element_input_rejected(self):
         with pytest.raises(TypeMismatchError):
             transform_document(RuleSet(), text("x"))
+
+
+CHAIN_RULES = """\
+template(element(sec,_,[element(t,_,[text(T)]),S]),[element(s,[],[text(T),O])]):-
+   template(S,[O]).
+template(element(sec,_,[element(t,_,[text(T)])]),[element(s,[],[text(T)])]).
+"""
+
+
+class TestDocumentsAreGroundTerms:
+    def test_deep_section_chain_transforms(self):
+        depth = 300
+        doc = element("sec", [], [element("t", [], [text(str(depth))])])
+        expected = element("s", [], [text(str(depth))])
+        for level in range(depth - 1, 0, -1):
+            doc = element("sec", [], [element("t", [], [text(str(level))]), doc])
+            expected = element("s", [], [text(str(level)), expected])
+        out = apply_templates(parse_rules(CHAIN_RULES), doc)
+        assert [serialize(n) for n in out] == [serialize(expected)]
+
+    def test_output_holds_the_bound_node_itself(self):
+        rules = parse_rules("template(element(item,_,[T]),[element(li,[],[T])]).")
+        bound = element("b", [("k", "v")], [text("x")])
+        doc = element("list", [], [element("item", [], [bound])])
+        (li,) = apply_templates(rules, doc)
+        assert li.children[0] is bound

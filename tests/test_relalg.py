@@ -69,13 +69,6 @@ class TestExamples:
         assert select(r, r).tuples == r.tuples
         assert select(r, Relation("s", 1, frozenset())).tuples == set()
 
-    def test_select_where_predicate_extension(self):
-        from ltlx import select_where
-
-        r = rel("r", (1, 2), (3, 4), (5, 1))
-        assert select_where(r, lambda row: row[0] > 2).tuples == {(3, 4), (5, 1)}
-        assert select_where(r, lambda row: False).tuples == set()
-
     def test_rename(self):
         r = rel("r", (1, 2))
         assert rename(r, "t").tuples == r.tuples
