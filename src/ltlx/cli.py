@@ -183,11 +183,11 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args, stdout)
-    except LtlxError as exc:
+    except (LtlxError, OSError, UnicodeError) as exc:
         print(f"ltlx: error: {exc}", file=stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"ltlx: error: {exc}", file=stderr)
+    except RecursionError:
+        print("ltlx: error: input nested too deeply to process", file=stderr)
         return EXIT_ERROR
 
 

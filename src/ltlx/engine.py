@@ -1,7 +1,7 @@
 """Executes rule sets over documents.
 
 Traversal visits the document pre-order.  At each node, rules are tried
-in source order; the first rule whose head unifies with the node and
+in source order; the first rule whose head matches the node and
 whose goals succeed emits its instantiated output hedge, and the node's
 subtree is not descended any further (the red cut — recursion happens
 only through explicit template goals).  When no rule fires on an
@@ -36,6 +36,7 @@ from .terms import (
     Term,
     apply_subst,
     is_ground,
+    match,
     term_to_node,
     unify,
 )
@@ -67,11 +68,11 @@ def solve_goals(
     """Solve a goal conjunction left to right, yielding extended substitutions.
 
     Unification goals extend the substitution or fail; transform goals
-    evaluate their path against the node bound to the start variable;
-    template goals recurse into apply_templates on the bound node and
-    unify the produced hedge; not(g) succeeds exactly when g has no
-    solution, discarding any bindings g would make.  `ctx` is the
-    document the lvl step resolves index paths against.
+    evaluate their path against the node bound to the start variable and
+    match each result; template goals recurse into apply_templates on the
+    bound node and match the produced hedge; not(g) succeeds exactly when
+    g has no solution, discarding any bindings g would make.  `ctx` is
+    the document the lvl step resolves index paths against.
     """
     if not goals:
         yield theta
@@ -108,13 +109,13 @@ def solve_goals(
         if rs.solution_mode == FIRST_ONLY:
             values = islice(values, 1)
         for value in values:
-            delta = unify(apply_subst(theta, goal.result), _result_to_term(value))
+            delta = match(apply_subst(theta, goal.result), _result_to_term(value))
             if delta is not None:
                 yield from solve_goals(rs, rest, theta.compose(delta), ctx)
     elif isinstance(goal, ApplyTemplates):
         node = _bound_node(theta, goal.node, "template goal node")
         produced = Seq(tuple(_emit(rs, node, ctx)))
-        delta = unify(apply_subst(theta, goal.result), produced)
+        delta = match(apply_subst(theta, goal.result), produced)
         if delta is not None:
             yield from solve_goals(rs, rest, theta.compose(delta), ctx)
     elif isinstance(goal, Not):
@@ -127,16 +128,15 @@ def solve_goals(
 
 def _instantiate_output(rule: Rule, theta: Substitution) -> Iterator[Node]:
     for template in rule.output:
-        term = apply_subst(theta, template)
         try:
-            yield term_to_node(term)
+            yield term_to_node(template, theta)
         except UnboundOutputError as exc:
             raise UnboundOutputError(exc.variable, rule.label) from None
 
 
 def _emit(rs: RuleSet, node: Node, root: Node) -> Iterator[Node]:
     for rule in rs.rules:
-        theta = unify(rule.head, node)
+        theta = match(rule.head, node)
         if theta is None:
             continue
         fired = False

@@ -122,9 +122,28 @@ def node_equal(a: Node, b: Node) -> bool:
     """Structural equality: same variant, name, attribute sequence and children.
 
     Attribute order matters; canonicalize both sides first for
-    order-insensitive comparison.
+    order-insensitive comparison.  Runs on an explicit stack, so deep
+    trees compare without recursion, and a shared subtree compares equal
+    to itself without being walked.
     """
-    return a == b
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is Element:
+            if (
+                a.name != b.name
+                or a.attributes != b.attributes
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        elif a.content != b.content:
+            return False
+    return True
 
 
 def document_order(node: Node) -> Iterator[Node]:

@@ -1,10 +1,13 @@
-"""Pattern terms, most-general unification, and substitutions.
+"""Pattern terms, matching, most-general unification, and substitutions.
 
 Template heads are terms with variables; document nodes are ground terms.
-Matching a head against a node is a single unification that looks into
-the node only as deep as the head does.  Variables bind to the node
-objects themselves, so the output a rule builds shares the subtrees it
-bound instead of copying them.
+Matching a head against a node is one-sided: the node has no variables,
+so `match` needs no occurs check and looks into the node only as deep as
+the head does.  Variables bind to the node objects themselves, and
+`term_to_node` builds an output straight from the substitution, so the
+output a rule builds shares the subtrees it bound instead of copying
+them.  General unification is left for `=` goals, whose two sides may
+both hold variables.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
-from .nodes import Attribute, Comment, Element, Node, PI, Text
+from .nodes import Attribute, Comment, Element, Node, PI, Text, node_equal
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,12 @@ class Substitution(Mapping[str, Term]):
     def __len__(self) -> int:
         return len(self._bindings)
 
+    def __contains__(self, name: object) -> bool:
+        return name in self._bindings
+
+    def get(self, name: str, default: Term | None = None) -> Term | None:
+        return self._bindings.get(name, default)
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k} -> {v!r}" for k, v in sorted(self._bindings.items()))
         return "{" + inner + "}"
@@ -183,6 +192,11 @@ def _occurs(name: str, term: Term, bindings: dict[str, Term]) -> bool:
     return False
 
 
+def _attribute_term(attr: Attribute) -> Compound:
+    """An attribute as the term name="value"."""
+    return Compound("=", (Atom(attr.name), Str(attr.value)))
+
+
 def _view(node: Node) -> Compound:
     """A node one level deep as its element/text/pi/comment compound.
 
@@ -190,7 +204,7 @@ def _view(node: Node) -> Compound:
     as deep into a document as it is itself deep.
     """
     if isinstance(node, Element):
-        attrs = tuple(Compound("=", (Atom(a.name), Str(a.value))) for a in node.attributes)
+        attrs = tuple(map(_attribute_term, node.attributes))
         return Compound("element", (Atom(node.name), Seq(attrs), Seq(node.children)))
     return Compound(_LEAF_NAMES[type(node)], (Str(node.content),))
 
@@ -214,7 +228,7 @@ def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
         return True
     if isinstance(a, _NODES):
         if isinstance(b, _NODES):
-            return a == b
+            return node_equal(a, b)
         a = _view(a)
     elif isinstance(b, _NODES):
         b = _view(b)
@@ -260,6 +274,121 @@ def unify(a: Term, b: Term) -> Substitution | None:
     return Substitution({name: _resolve(term, bindings) for name, term in bindings.items()})
 
 
+def match(pattern: Term, ground: Term) -> Substitution | None:
+    """Bindings that make `pattern` equal to the ground term `ground`, or None.
+
+    One-sided unification: `ground` holds no variables (it is a node, or
+    a term built of atoms, strings, integers, sequences, compounds and
+    nodes), so there is no occurs check and no chain of bindings to
+    follow.  A variable's first occurrence binds it to the value it
+    meets; a later occurrence must meet an equal value.  `_` matches
+    anything.  An element is tested by its name, attribute count and
+    child count directly; its name="value" attribute terms are built only
+    for a variable that binds the attribute list or one attribute.
+    Succeeds exactly when unify(pattern, ground) does, with the same
+    bindings.
+    """
+    bindings: dict[str, Term] = {}
+    if not _match(pattern, ground, bindings):
+        return None
+    return Substitution(bindings)
+
+
+def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
+    kind = type(p)
+    if kind is Var:
+        bound = bindings.get(p.name)
+        if bound is None:
+            bindings[p.name] = g
+            return True
+        return _match(bound, g, bindings)  # bound is ground: an equality test
+    if kind is Anonymous:
+        return True
+    ground_kind = type(g)
+    if kind is Compound:
+        if ground_kind is Element:
+            if p.functor != "element" or len(p.args) != 3:
+                return False
+            name, attrs, children = p.args
+            if type(name) is Atom:
+                if name.text != g.name:
+                    return False
+            elif not _match(name, Atom(g.name), bindings):
+                return False
+            return _match_attributes(attrs, g.attributes, bindings) and _match_hedge(
+                children, g.children, bindings
+            )
+        leaf = _LEAF_NAMES.get(ground_kind)
+        if leaf is not None:
+            if p.functor != leaf or len(p.args) != 1:
+                return False
+            content = p.args[0]
+            if type(content) is Str:
+                return content.text == g.content
+            return _match(content, Str(g.content), bindings)
+        return (
+            ground_kind is Compound
+            and p.functor == g.functor
+            and len(p.args) == len(g.args)
+            and _match_all(p.args, g.args, bindings)
+        )
+    if kind is Seq:
+        return (
+            ground_kind is Seq
+            and len(p.items) == len(g.items)
+            and _match_all(p.items, g.items, bindings)
+        )
+    if kind is Atom or kind is Str:
+        return ground_kind is kind and p.text == g.text
+    if kind is Int:
+        return ground_kind is Int and p.value == g.value
+    if ground_kind in _LEAF_NAMES or ground_kind is Element:
+        return node_equal(p, g)
+    return _match(_view(p), g, bindings)  # a node in the pattern meets a term
+
+
+def _match_all(
+    patterns: tuple[Term, ...], values: tuple[Term, ...], bindings: dict[str, Term]
+) -> bool:
+    for p, g in zip(patterns, values):
+        if not _match(p, g, bindings):
+            return False
+    return True
+
+
+def _match_hedge(p: Term, children: tuple[Node, ...], bindings: dict[str, Term]) -> bool:
+    if type(p) is Seq:
+        return len(p.items) == len(children) and _match_all(p.items, children, bindings)
+    if type(p) is Var:
+        return _match(p, Seq(children), bindings)
+    return type(p) is Anonymous
+
+
+def _match_attributes(
+    p: Term, attributes: tuple[Attribute, ...], bindings: dict[str, Term]
+) -> bool:
+    if type(p) is Seq:
+        if len(p.items) != len(attributes):
+            return False
+        for item, attr in zip(p.items, attributes):
+            if type(item) is Compound and item.functor == "=" and len(item.args) == 2:
+                name, value = item.args
+                if not (
+                    _match(name, Atom(attr.name), bindings)
+                    and _match(value, Str(attr.value), bindings)
+                ):
+                    return False
+            elif type(item) is Var:
+                if not _match(item, _attribute_term(attr), bindings):
+                    return False
+            elif type(item) is not Anonymous:
+                return False
+        return True
+    if type(p) is Var:
+        return _match(p, Seq(tuple(map(_attribute_term, attributes))), bindings)
+    return type(p) is Anonymous
+
+
 def node_to_term(node: Node) -> Term:
     """Embed a document node as a ground term without nodes in it.
 
@@ -274,64 +403,95 @@ def node_to_term(node: Node) -> Term:
     return term
 
 
-def term_to_node(term: Term) -> Node:
-    """Convert a ground, node-shaped term back into a node.
+_NO_BINDINGS: dict[str, Term] = {}
 
-    Nodes inside the term are returned as they are, not copied.  Raises
-    UnboundOutputError naming the variable when the term still contains
-    one, and ShapeError when the term is not node-shaped.
+
+def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
+    """Build the node a node-shaped term denotes under the substitution theta.
+
+    A variable bound in theta stands for its binding wherever it sits: at
+    a node, an element name, the attribute list, one attribute, an
+    attribute name or value, the children, or a leaf's content.  The
+    result and any error are those of term_to_node(apply_subst(theta,
+    term)), but the substituted term is never built.  Nodes inside the
+    term or its bindings are returned as they are, not copied.  Raises
+    UnboundOutputError naming a variable that is still free, and
+    ShapeError when the term is not node-shaped.
     """
-    if isinstance(term, _NODES):
-        return term
-    if isinstance(term, Var):
+    if theta is None:
+        theta = _NO_BINDINGS
+    elif isinstance(theta, Substitution):
+        theta = theta._bindings
+    return _to_node(term, theta)
+
+
+def _deref(term: Term, theta: Mapping[str, Term]) -> tuple[Term, Mapping[str, Term]]:
+    """A term with a bound variable replaced, and the bindings its parts see.
+
+    Like apply_subst, a binding is substituted once: the parts of a bound
+    value are not looked up again.
+    """
+    if type(term) is Var and term.name in theta:
+        return theta[term.name], _NO_BINDINGS
+    return term, theta
+
+
+def _bound(term: Term, theta: Mapping[str, Term]) -> Term:
+    """A term with a bound variable replaced; a free variable raises UnboundOutputError."""
+    term, _ = _deref(term, theta)
+    if type(term) is Var:
         raise UnboundOutputError(term.name)
-    if isinstance(term, Anonymous):
+    if type(term) is Anonymous:
         raise UnboundOutputError("_")
-    if not isinstance(term, Compound):
+    return term
+
+
+def _to_node(term: Term, theta: Mapping[str, Term]) -> Node:
+    term, theta = _deref(term, theta)
+    if type(term) is not Compound:
+        if isinstance(term, _NODES):
+            return term
+        _bound(term, theta)  # a free variable is reported as unbound, not as a shape
         raise ShapeError(f"not a node term: {term!r}")
-    leaf = _LEAF_FUNCTORS.get(term.functor)
-    if leaf is not None:
-        if len(term.args) != 1:
-            raise ShapeError(f"{term.functor} takes one argument: {term!r}")
-        arg = term.args[0]
-        if isinstance(arg, (Var, Anonymous)):
-            raise UnboundOutputError(repr(arg))
-        if not isinstance(arg, Str):
-            raise ShapeError(f"{term.functor} content must be a string: {term!r}")
-        return leaf(arg.text)
-    if term.functor != "element" or len(term.args) != 3:
-        raise ShapeError(f"not a node term: {term!r}")
-    name, attrs, children = term.args
-    if isinstance(name, (Var, Anonymous)):
-        raise UnboundOutputError(repr(name))
-    if not isinstance(name, Atom):
-        raise ShapeError(f"element name must be an atom: {term!r}")
-    return Element(
-        name.text,
-        tuple(_term_to_attribute(a) for a in _seq_items(attrs, term)),
-        tuple(term_to_node(c) for c in _seq_items(children, term)),
-    )
+    functor, args = term.functor, term.args
+    if functor == "element" and len(args) == 3:
+        name = _bound(args[0], theta)
+        if type(name) is not Atom:
+            raise ShapeError(f"element name must be an atom: {apply_subst(theta, term)!r}")
+        items, inner = _seq_items(args[1], theta, term)
+        attributes = tuple([_to_attribute(a, inner) for a in items])
+        items, inner = _seq_items(args[2], theta, term)
+        return Element(name.text, attributes, tuple([_to_node(c, inner) for c in items]))
+    leaf = _LEAF_FUNCTORS.get(functor)
+    if leaf is None:
+        raise ShapeError(f"not a node term: {apply_subst(theta, term)!r}")
+    if len(args) != 1:
+        raise ShapeError(f"{functor} takes one argument: {apply_subst(theta, term)!r}")
+    content = _bound(args[0], theta)
+    if type(content) is not Str:
+        raise ShapeError(f"{functor} content must be a string: {apply_subst(theta, term)!r}")
+    return leaf(content.text)
 
 
-def _seq_items(term: Term, context: Term) -> tuple[Term, ...]:
-    if isinstance(term, (Var, Anonymous)):
-        raise UnboundOutputError(repr(term))
-    if not isinstance(term, Seq):
-        raise ShapeError(f"expected a sequence in {context!r}")
-    return term.items
+def _seq_items(
+    term: Term, theta: Mapping[str, Term], context: Term
+) -> tuple[tuple[Term, ...], Mapping[str, Term]]:
+    seq, inner = _deref(term, theta)
+    if type(seq) is not Seq:
+        _bound(seq, inner)  # a free variable is reported as unbound, not as a shape
+        raise ShapeError(f"expected a sequence in {apply_subst(theta, context)!r}")
+    return seq.items, inner
 
 
-def _term_to_attribute(term: Term) -> Attribute:
-    if isinstance(term, (Var, Anonymous)):
-        raise UnboundOutputError(repr(term))
-    if isinstance(term, Compound) and term.functor == "=" and len(term.args) == 2:
-        name, value = term.args
-        for arg in (name, value):
-            if isinstance(arg, (Var, Anonymous)):
-                raise UnboundOutputError(repr(arg))
-        if isinstance(name, Atom) and isinstance(value, Str):
+def _to_attribute(term: Term, theta: Mapping[str, Term]) -> Attribute:
+    term, theta = _deref(term, theta)
+    _bound(term, theta)  # a free variable is reported as unbound, not as a shape
+    if type(term) is Compound and term.functor == "=" and len(term.args) == 2:
+        name = _bound(term.args[0], theta)
+        value = _bound(term.args[1], theta)
+        if type(name) is Atom and type(value) is Str:
             return Attribute(name.text, value.text)
-    raise ShapeError(f"not an attribute term: {term!r}")
+    raise ShapeError(f"not an attribute term: {apply_subst(theta, term)!r}")
 
 
 def is_ground(term: Term) -> bool:

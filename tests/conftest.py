@@ -20,6 +20,7 @@ from ltlx import (
     Str,
     Term,
     Var,
+    anon,
     comment,
     element,
     pi,
@@ -136,3 +137,25 @@ def abstract(rng: random.Random, ground: Term, counter: list[int] | None = None)
     if isinstance(ground, Seq):
         return Seq(tuple(abstract(rng, i, counter) for i in ground.items))
     return ground
+
+
+def wildcards(rng: random.Random, term: Term) -> Term:
+    """Replace some variables of `term` by `_`."""
+    if isinstance(term, Var):
+        return anon() if rng.random() < 0.2 else term
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(wildcards(rng, a) for a in term.args))
+    if isinstance(term, Seq):
+        return Seq(tuple(wildcards(rng, i) for i in term.items))
+    return term
+
+
+def rename(term: Term, old: str, new: str) -> Term:
+    """Rename variable `old` to `new` throughout `term`."""
+    if isinstance(term, Var) and term.name == old:
+        return Var(new)
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(rename(a, old, new) for a in term.args))
+    if isinstance(term, Seq):
+        return Seq(tuple(rename(i, old, new) for i in term.items))
+    return term

@@ -1,11 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ltlx.cli import EXIT_ERROR, EXIT_NOT_WELL_FORMED, EXIT_OK, EXIT_USAGE, run
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 def invoke(*argv):
@@ -281,3 +285,44 @@ class TestUsage:
         code, out, _ = invoke("canon", "-")
         assert code == EXIT_OK
         assert out == '<a b="2" z="1"/>\n'
+
+
+def run_process(*argv, **env):
+    """Run `python -m ltlx.cli` in a fresh interpreter; return (exit code, stderr)."""
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltlx.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stderr.decode("utf-8", "replace")
+
+
+class TestNoTraceback:
+    """Failures the program does not report itself still end in one diagnostic line."""
+
+    def assert_one_line_error(self, code, err):
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err
+        assert err.startswith("ltlx: error: ") and err.count("\n") == 1, err
+
+    def test_output_the_stdout_encoding_cannot_hold(self, tmp_path):
+        path = tmp_path / "latin1.xml"
+        source = '<?xml version="1.0" encoding="ISO-8859-1"?>\n<doc z="é" a="ü">café</doc>'
+        path.write_bytes(source.encode("iso-8859-1"))
+        self.assert_one_line_error(*run_process("canon", str(path), PYTHONIOENCODING="ascii"))
+
+    def test_section_chain_too_deep_for_the_engine(self, tmp_path):
+        rules = tmp_path / "chain.ltl"
+        rules.write_text(
+            "template(element(sec,_,[element(t,_,[text(T)]),S]),[element(s,[],[text(T),O])]):-\n"
+            "   template(S,[O]).\n"
+            "template(element(sec,_,[element(t,_,[text(T)])]),[element(s,[],[text(T)])]).\n",
+            encoding="utf-8",
+        )
+        depth = 600
+        doc = tmp_path / "chain.xml"
+        doc.write_text(
+            "".join(f"<sec><t>{i}</t>" for i in range(depth)) + "</sec>" * depth,
+            encoding="utf-8",
+        )
+        self.assert_one_line_error(*run_process("transform", "-r", str(rules), str(doc)))

@@ -4,9 +4,14 @@ import pytest
 
 from ltlx import (
     ALL_SOLUTIONS,
+    Atom,
+    Compound,
     InstantiationError,
     Not,
+    Rule,
     RuleSet,
+    Seq,
+    ShapeError,
     Str,
     Substitution,
     TypeMismatchError,
@@ -286,3 +291,57 @@ class TestDocumentsAreGroundTerms:
         doc = element("list", [], [element("item", [], [bound])])
         (li,) = apply_templates(rules, doc)
         assert li.children[0] is bound
+
+
+def chain(depth, leaf):
+    node = element("c", [], [text(leaf)])
+    for _ in range(depth - 1):
+        node = element("c", [], [node])
+    return node
+
+
+class TestSharedHeadOverDeepSubtrees:
+    RULES = (
+        "template(element(pair,_,[A,A]),[element(same,[],[])]).\n"
+        "template(element(pair,_,[_,_]),[element(diff,[],[])])."
+    )
+
+    def test_equal_but_distinct_deep_chains_match(self):
+        doc = element("pair", [], [chain(1000, "x"), chain(1000, "x")])
+        assert doc.children[0] is not doc.children[1]
+        assert apply_templates(parse_rules(self.RULES), doc) == (element("same"),)
+
+    def test_deep_chains_differing_at_the_leaf_do_not_match(self):
+        doc = element("pair", [], [chain(1000, "x"), chain(1000, "y")])
+        assert apply_templates(parse_rules(self.RULES), doc) == (element("diff"),)
+
+
+class TestOutputInstantiation:
+    def test_unbound_output_variable_names_variable_and_rule(self):
+        rules = parse_rules("template(element(a,_,_),[text(T)]):-T=U.")
+        with pytest.raises(UnboundOutputError) as err:
+            apply_templates(rules, element("r", [], [element("a")]))
+        assert (err.value.variable, err.value.context) == ("U", "rule at line 1")
+
+    def test_variable_in_attribute_value(self):
+        # element(row,[k=V],[]): the rule syntax has no name=value term, so it is built here.
+        head = parse_rules("template(element(a,_,[text(V)]),[text(V)]).").rules[0].head
+        row = Compound(
+            "element", (Atom("row"), Seq((Compound("=", (Atom("k"), Var("V"))),)), Seq(()))
+        )
+        rules = RuleSet((Rule(head, (row,), (), 1),))
+        doc = element("a", [], [text("v1")])
+        assert apply_templates(rules, doc) == (element("row", [("k", "v1")]),)
+
+    def test_variable_bound_to_attribute_list_is_copied(self):
+        rules = parse_rules("template(element(a,A,_),[element(b,A,[text(\"t\")])]).")
+        doc = element("a", [("k", "v"), ("m", "w")], [text("ignored")])
+        assert apply_templates(rules, doc) == (
+            element("b", [("k", "v"), ("m", "w")], [text("t")]),
+        )
+
+    @pytest.mark.parametrize("children", ["[X]", "X"])
+    def test_string_in_children_position_is_a_shape_error(self, children):
+        rules = parse_rules(f"template(text(X),[element(b,[],{children})]).")
+        with pytest.raises(ShapeError):
+            apply_templates(rules, element("a", [], [text("s")]))

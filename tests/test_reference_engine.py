@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import reference_engine
-from conftest import abstract, random_document
+from conftest import abstract, random_document, rename, wildcards
 from ltlx import (
     ALL_SOLUTIONS,
     FIRST_ONLY,
@@ -84,38 +84,17 @@ def _kind(value):
     return "string" if isinstance(value, Str) else "name"
 
 
-def _wildcards(rng, term):
-    """Replace some variables of `term` by `_`."""
-    if isinstance(term, Var):
-        return anon() if rng.random() < 0.2 else term
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_wildcards(rng, a) for a in term.args))
-    if isinstance(term, Seq):
-        return Seq(tuple(_wildcards(rng, i) for i in term.items))
-    return term
-
-
-def _rename(term, old, new):
-    if isinstance(term, Var) and term.name == old:
-        return Var(new)
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_rename(a, old, new) for a in term.args))
-    if isinstance(term, Seq):
-        return Seq(tuple(_rename(i, old, new) for i in term.items))
-    return term
-
-
 def random_head(rng, subtree):
     """A head that matches `subtree`, and the kind each of its variables binds."""
     ground = node_to_term(subtree)
-    head = _wildcards(rng, abstract(rng, ground))
+    head = wildcards(rng, abstract(rng, ground))
     theta = reference_engine.unify(head, ground)
     kinds = {name: _kind(value) for name, value in theta.items()}
     nodes = sorted(n for n, k in kinds.items() if k == "node")
     if len(nodes) >= 2 and rng.random() < 0.3:
         # A repeated variable: the head then needs two equal subtrees.
         keep, drop = rng.sample(nodes, 2)
-        head = _rename(head, drop, keep)
+        head = rename(head, drop, keep)
         del kinds[drop]
     return head, kinds
 

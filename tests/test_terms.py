@@ -6,6 +6,7 @@ from ltlx import (
     Anonymous,
     Atom,
     Compound,
+    Element,
     Int,
     Seq,
     ShapeError,
@@ -15,8 +16,10 @@ from ltlx import (
     Var,
     anon,
     apply_subst,
+    document_order,
     element,
     is_ground,
+    match,
     node_to_term,
     pi,
     term_to_node,
@@ -25,7 +28,14 @@ from ltlx import (
     variables_of,
 )
 
-from conftest import abstract, random_document, random_ground_term, random_term
+from conftest import (
+    abstract,
+    random_document,
+    random_ground_term,
+    random_term,
+    rename,
+    wildcards,
+)
 
 
 def naive_replace(mapping, term):
@@ -235,3 +245,205 @@ class TestSubstitutionType:
     def test_fresh_wildcards_have_distinct_ids(self):
         assert anon() != anon()
         assert isinstance(anon(), Anonymous)
+
+
+def one_level(node):
+    """The element/text/... compound of a node, with its children left as nodes."""
+    if not isinstance(node, Element):
+        return node_to_term(node)
+    name, attrs, _ = node_to_term(node).args
+    return Compound("element", (name, attrs, Seq(node.children)))
+
+
+def random_ground(rng):
+    """A ground value: a plain term, a node, or a node's term (whole or one level deep)."""
+    if rng.random() < 0.4:
+        term = random_ground_term(rng, depth=4)
+        return term, term
+    node = rng.choice(list(document_order(random_document(rng, max_depth=3, max_nodes=12))))
+    roll = rng.random()
+    if roll < 0.5:
+        return node, node_to_term(node)
+    if roll < 0.75:
+        return node_to_term(node), node_to_term(node)
+    return node, one_level(node)
+
+
+def pattern_pairs(count, seed):
+    """(pattern, ground) pairs, about half of them matching.
+
+    Patterns are abstracted from a ground value: the pair's own, or
+    another one.  Some variables become `_`, some are repeated, and some
+    patterns are doubled against a doubled ground whose second half may
+    differ, so a repeated variable has to meet an equal value.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        ground, source = random_ground(rng)
+        if rng.random() < 0.25:
+            source = random_ground(rng)[1]
+        pattern = abstract(rng, source)
+        if rng.random() < 0.3:
+            pattern = Seq((pattern, pattern))
+            ground = Seq((ground, ground if rng.random() < 0.6 else random_ground(rng)[0]))
+        names = sorted(variables_of(pattern))
+        if len(names) >= 2 and rng.random() < 0.3:
+            keep, drop = rng.sample(names, 2)
+            pattern = rename(pattern, drop, keep)
+        yield wildcards(rng, pattern), ground
+
+
+class TestMatch:
+    def test_element_pattern_binds_parts_of_a_node(self):
+        child = element("b")
+        node = element("a", [("k", "v"), ("m", "w")], [child, text("t")])
+        pattern = Compound(
+            "element",
+            (
+                Var("N"),
+                Seq((Compound("=", (Atom("k"), Var("V"))), Var("M"))),
+                Seq((Var("C"), anon())),
+            ),
+        )
+        theta = match(pattern, node)
+        assert theta == Substitution(
+            {"N": Atom("a"), "V": Str("v"), "M": Compound("=", (Atom("m"), Str("w"))), "C": child}
+        )
+        assert theta["C"] is child
+
+    def test_variables_bind_attribute_list_and_children(self):
+        node = element("a", [("k", "v")], [text("t")])
+        theta = match(Compound("element", (Atom("a"), Var("A"), Var("C"))), node)
+        assert theta["A"] == Seq((Compound("=", (Atom("k"), Str("v"))),))
+        assert theta["C"] == Seq((text("t"),))
+
+    def test_fails_on_name_arity_and_counts(self):
+        node = element("a", [("k", "v")], [text("t")])
+        for pattern in (
+            Compound("element", (Atom("b"), anon(), anon())),
+            Compound("element", (Atom("a"), Seq(()), anon())),
+            Compound("element", (Atom("a"), anon(), Seq(()))),
+            Compound("element", (Atom("a"), anon())),
+            Compound("text", (anon(),)),
+            Seq((anon(),)),
+            Atom("a"),
+        ):
+            assert match(pattern, node) is None, pattern
+
+    def test_repeated_variable_compares_by_value(self):
+        pattern = Compound("element", (Atom("top"), anon(), Seq((Var("A"), Var("A")))))
+        same = element("top", [], [element("a", [], [text("x")]), element("a", [], [text("x")])])
+        differ = element("top", [], [element("a", [], [text("x")]), element("a", [], [text("y")])])
+        assert match(pattern, same)["A"] is same.children[0]
+        assert match(pattern, differ) is None
+
+    def test_node_in_pattern_meets_its_term(self):
+        node = element("a", [("k", "v")], [text("t")])
+        assert match(Seq((node,)), Seq((node_to_term(node),))) == Substitution()
+        assert match(node, element("a", [("k", "v")], [text("u")])) is None
+
+    def test_agrees_with_unify_on_ground_data(self):
+        successes = failures = 0
+        for pattern, ground in pattern_pairs(2400, seed=441):
+            theta = match(pattern, ground)
+            expected = unify(pattern, ground)
+            assert (theta is None) == (expected is None), (pattern, ground)
+            if theta is None:
+                failures += 1
+                continue
+            successes += 1
+            assert theta == expected, (pattern, ground)
+        assert successes > 800 and failures > 400  # both outcomes well covered
+
+
+def outcome(convert):
+    try:
+        return convert()
+    except (ShapeError, UnboundOutputError) as exc:
+        return type(exc), str(exc)
+
+
+def random_output_case(rng):
+    """A node-shaped term with variables in every kind of position, and bindings for them.
+
+    Most variables get the value that rebuilds the source node, as a
+    node or as a term; some get a value of the wrong shape, a free
+    variable, or no binding at all.
+    """
+    node = rng.choice(list(document_order(random_document(rng, max_depth=3, max_nodes=12))))
+    term = wildcards(rng, abstract(rng, node_to_term(node)))
+    fitting = match(term, node) if rng.random() < 0.5 else unify(term, node_to_term(node))
+    bindings = {}
+    keep = rng.choice((0.5, 0.9))  # some cases have several faults, so their order counts
+    for name, value in fitting.items():
+        roll = rng.random()
+        if roll < keep:
+            bindings[name] = value
+        elif roll < keep + (1 - keep) * 0.4:
+            bindings[name] = rng.choice((Str("s"), Atom("a"), Int(1), Seq(()), text("n")))
+        elif roll < keep + (1 - keep) * 0.6:
+            bindings[name] = random_ground_term(rng, depth=2)
+        elif roll < keep + (1 - keep) * 0.8:
+            # A free variable, or one bound here too: a binding is substituted once.
+            bindings[name] = Var(rng.choice(("Free", *fitting)))
+    return term, Substitution(bindings)
+
+
+class TestTermToNodeUnderSubstitution:
+    def test_resolves_variables_in_every_position(self):
+        theta = Substitution(
+            {
+                "N": Atom("row"),
+                "A": Seq((Compound("=", (Atom("k"), Str("v"))),)),
+                "K": Atom("j"),
+                "V": Str("w"),
+                "C": Seq((text("c"),)),
+                "T": Str("t"),
+                "X": element("x"),
+            }
+        )
+        term = Compound(
+            "element",
+            (
+                Var("N"),
+                Seq((Var("P"), Compound("=", (Var("K"), Var("V"))))),
+                Seq(
+                    (
+                        Var("X"),
+                        Compound("text", (Var("T"),)),
+                        Compound("element", (Atom("e"), Var("A"), Var("C"))),
+                    )
+                ),
+            ),
+        )
+        bound = Substitution({**theta, "P": Compound("=", (Atom("p"), Str("q")))})
+        assert term_to_node(term, bound) == element(
+            "row",
+            [("p", "q"), ("j", "w")],
+            [element("x"), text("t"), element("e", [("k", "v")], [text("c")])],
+        )
+        assert term_to_node(term, bound).children[0] is theta["X"]
+
+    def test_unbound_and_shape_errors_name_the_substituted_term(self):
+        theta = Substitution({"X": Str("s"), "Y": Var("U")})
+        with pytest.raises(UnboundOutputError) as err:
+            term_to_node(Compound("text", (Var("Y"),)), theta)
+        assert err.value.variable == "U"
+        with pytest.raises(ShapeError) as err:
+            term_to_node(Compound("element", (Atom("a"), Seq(()), Var("X"))), theta)
+        assert str(err.value) == 'expected a sequence in element(a,[],"s")'
+        # The first offending subterm decides: the attribute comes before the child.
+        two_faults = Compound("element", (Atom("a"), Seq((Var("X"),)), Seq((Var("Z"),))))
+        with pytest.raises(ShapeError) as err:
+            term_to_node(two_faults, theta)
+        assert str(err.value) == 'not an attribute term: "s"'
+
+    def test_agrees_with_apply_subst_then_convert(self):
+        rng = random.Random(451)
+        kinds = set()
+        for _ in range(2000):
+            term, theta = random_output_case(rng)
+            got = outcome(lambda: term_to_node(term, theta))
+            assert got == outcome(lambda: term_to_node(apply_subst(theta, term))), (term, theta)
+            kinds.add(got[0] if isinstance(got, tuple) else "node")
+        assert kinds == {"node", ShapeError, UnboundOutputError}
