@@ -28,18 +28,7 @@ from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOu
 from .nodes import Element, Hedge, Node, Text
 from .queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, _coerced_text, eval_path
 from .rules import ApplyTemplates, Goal, Not, Rule, RuleSet, Transform, Unify
-from .terms import (
-    Int,
-    Seq,
-    Str,
-    Substitution,
-    Term,
-    apply_subst,
-    is_ground,
-    match,
-    term_to_node,
-    unify,
-)
+from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, is_ground, term_to_node
 
 
 def _result_to_term(result: Result) -> Term:
@@ -52,8 +41,8 @@ def _result_to_term(result: Result) -> Term:
     return result
 
 
-def _bound_node(theta: Substitution, term: Term, what: str) -> Node:
-    grounded = apply_subst(theta, term)
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
+    grounded = _resolve(term, theta)
     if not is_ground(grounded):
         raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
     try:
@@ -63,25 +52,29 @@ def _bound_node(theta: Substitution, term: Term, what: str) -> Node:
 
 
 def solve_goals(
-    rs: RuleSet, goals: tuple[Goal, ...], theta: Substitution, ctx: Node
-) -> Iterator[Substitution]:
-    """Solve a goal conjunction left to right, yielding extended substitutions.
+    rs: RuleSet, goals: tuple[Goal, ...], theta: dict[str, Term], ctx: Node
+) -> Iterator[dict[str, Term]]:
+    """Solve a goal conjunction left to right, yielding extended bindings.
 
-    Unification goals extend the substitution or fail; transform goals
-    evaluate their path against the node bound to the start variable and
-    match each result; template goals recurse into apply_templates on the
-    bound node and match the produced hedge; not(g) succeeds exactly when
-    g has no solution, discarding any bindings g would make.  `ctx` is
-    the document the lvl step resolves index paths against.
+    The bindings are triangular, as in a Prolog environment: a variable
+    may be bound to a term holding variables that are bound too, and a
+    bound variable is looked up, never substituted.  Each alternative
+    extends its own copy of theta.  Unification goals unify their two
+    sides or fail; transform goals evaluate their path against the node
+    bound to the start variable and match each result; template goals
+    recurse into apply_templates on the bound node and match the produced
+    hedge; not(g) succeeds exactly when g has no solution, discarding any
+    bindings g would make.  `ctx` is the document the lvl step resolves
+    index paths against.
     """
     if not goals:
         yield theta
         return
     goal, rest = goals[0], goals[1:]
     if isinstance(goal, Unify):
-        delta = unify(apply_subst(theta, goal.lhs), apply_subst(theta, goal.rhs))
-        if delta is not None:
-            yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+        env = dict(theta)
+        if _unify(goal.lhs, goal.rhs, env):
+            yield from solve_goals(rs, rest, env, ctx)
     elif isinstance(goal, Transform):
         start = goal.path.start
         if start is None or start not in theta:
@@ -109,15 +102,15 @@ def solve_goals(
         if rs.solution_mode == FIRST_ONLY:
             values = islice(values, 1)
         for value in values:
-            delta = match(apply_subst(theta, goal.result), _result_to_term(value))
-            if delta is not None:
-                yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+            env = dict(theta)
+            if _match(goal.result, _result_to_term(value), env):
+                yield from solve_goals(rs, rest, env, ctx)
     elif isinstance(goal, ApplyTemplates):
         node = _bound_node(theta, goal.node, "template goal node")
         produced = Seq(tuple(_emit(rs, node, ctx)))
-        delta = match(apply_subst(theta, goal.result), produced)
-        if delta is not None:
-            yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+        env = dict(theta)
+        if _match(goal.result, produced, env):
+            yield from solve_goals(rs, rest, env, ctx)
     elif isinstance(goal, Not):
         for _ in solve_goals(rs, (goal.inner,), theta, ctx):
             return
@@ -126,7 +119,7 @@ def solve_goals(
         raise TypeError(f"unknown goal {goal!r}")
 
 
-def _instantiate_output(rule: Rule, theta: Substitution) -> Iterator[Node]:
+def _instantiate_output(rule: Rule, theta: dict[str, Term]) -> Iterator[Node]:
     for template in rule.output:
         try:
             yield term_to_node(template, theta)
@@ -136,8 +129,8 @@ def _instantiate_output(rule: Rule, theta: Substitution) -> Iterator[Node]:
 
 def _emit(rs: RuleSet, node: Node, root: Node) -> Iterator[Node]:
     for rule in rs.rules:
-        theta = match(rule.head, node)
-        if theta is None:
+        theta: dict[str, Term] = {}
+        if not _match(rule.head, node, theta):
             continue
         fired = False
         for solution in solve_goals(rs, rule.goals, theta, root):

@@ -15,6 +15,8 @@ Grammar (UTF-8, '.'-terminated clauses, '%' line comments):
               | "id" "(" scalar ")"
     term     := VAR | "_" | atom | INT | STRING
               | atom "(" term-list ")" | "[" term-list "]"
+    term-list := ( item ("," item)* )?
+    item     := term ( "=" term )?                    (name=value)
     VAR      := uppercase letter, then letters/digits/underscores
     atom     := lowercase letter, then letters/digits/underscores
 
@@ -313,11 +315,15 @@ def _parse_term_list(cur: _Cursor, closer: str) -> list[Term]:
     items: list[Term] = []
     if cur.at("punct", closer):
         return items
-    items.append(_parse_term(cur))
-    while cur.at("punct", ","):
+    while True:
+        item = _parse_term(cur)
+        if cur.at("punct", "="):  # name=value, as in an attribute list
+            cur.next()
+            item = Compound("=", (item, _parse_term(cur)))
+        items.append(item)
+        if not cur.at("punct", ","):
+            return items
         cur.next()
-        items.append(_parse_term(cur))
-    return items
 
 
 def _scalar_text(term: Term, tok: _Token) -> str:

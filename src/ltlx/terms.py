@@ -4,10 +4,12 @@ Template heads are terms with variables; document nodes are ground terms.
 Matching a head against a node is one-sided: the node has no variables,
 so `match` needs no occurs check and looks into the node only as deep as
 the head does.  Variables bind to the node objects themselves, and
-`term_to_node` builds an output straight from the substitution, so the
+`term_to_node` builds an output straight from the bindings, so the
 output a rule builds shares the subtrees it bound instead of copying
 them.  General unification is left for `=` goals, whose two sides may
-both hold variables.
+both hold variables.  The engine keeps a rule's bindings in one
+triangular dict, which `_match` and `_unify` extend in place and
+`term_to_node` reads through.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def apply_subst(theta: Substitution | Mapping[str, Term], term: Term) -> Term:
     return term
 
 
-def _walk(term: Term, bindings: dict[str, Term]) -> Term:
+def _walk(term: Term, bindings: Mapping[str, Term]) -> Term:
     while isinstance(term, Var) and term.name in bindings:
         term = bindings[term.name]
     return term
@@ -249,7 +251,7 @@ def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
     return False
 
 
-def _resolve(term: Term, bindings: dict[str, Term]) -> Term:
+def _resolve(term: Term, bindings: Mapping[str, Term]) -> Term:
     term = _walk(term, bindings)
     if isinstance(term, Compound):
         return Compound(term.functor, tuple(_resolve(a, bindings) for a in term.args))
@@ -301,7 +303,7 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
         if bound is None:
             bindings[p.name] = g
             return True
-        return _match(bound, g, bindings)  # bound is ground: an equality test
+        return _match(bound, g, bindings)  # the binding may hold variables bound in turn
     if kind is Anonymous:
         return True
     ground_kind = type(g)
@@ -407,14 +409,16 @@ _NO_BINDINGS: dict[str, Term] = {}
 
 
 def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
-    """Build the node a node-shaped term denotes under the substitution theta.
+    """Build the node a node-shaped term denotes under the bindings theta.
 
     A variable bound in theta stands for its binding wherever it sits: at
     a node, an element name, the attribute list, one attribute, an
     attribute name or value, the children, or a leaf's content.  The
-    result and any error are those of term_to_node(apply_subst(theta,
-    term)), but the substituted term is never built.  Nodes inside the
-    term or its bindings are returned as they are, not copied.  Raises
+    bindings may be triangular, with a bound value holding variables that
+    theta binds too, and every chain is followed to its end.  The result
+    and any error are those of term_to_node(_resolve(term, theta)), but
+    the resolved term is never built.  Nodes inside the term or its
+    bindings are returned as they are, not copied.  Raises
     UnboundOutputError naming a variable that is still free, and
     ShapeError when the term is not node-shaped.
     """
@@ -425,20 +429,9 @@ def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
     return _to_node(term, theta)
 
 
-def _deref(term: Term, theta: Mapping[str, Term]) -> tuple[Term, Mapping[str, Term]]:
-    """A term with a bound variable replaced, and the bindings its parts see.
-
-    Like apply_subst, a binding is substituted once: the parts of a bound
-    value are not looked up again.
-    """
-    if type(term) is Var and term.name in theta:
-        return theta[term.name], _NO_BINDINGS
-    return term, theta
-
-
 def _bound(term: Term, theta: Mapping[str, Term]) -> Term:
-    """A term with a bound variable replaced; a free variable raises UnboundOutputError."""
-    term, _ = _deref(term, theta)
+    """A term with its chain of bound variables followed; a free variable raises."""
+    term = _walk(term, theta)
     if type(term) is Var:
         raise UnboundOutputError(term.name)
     if type(term) is Anonymous:
@@ -447,51 +440,46 @@ def _bound(term: Term, theta: Mapping[str, Term]) -> Term:
 
 
 def _to_node(term: Term, theta: Mapping[str, Term]) -> Node:
-    term, theta = _deref(term, theta)
+    term = _walk(term, theta)
     if type(term) is not Compound:
         if isinstance(term, _NODES):
             return term
         _bound(term, theta)  # a free variable is reported as unbound, not as a shape
-        raise ShapeError(f"not a node term: {term!r}")
+        raise ShapeError(f"not a node term: {_resolve(term, theta)!r}")
     functor, args = term.functor, term.args
     if functor == "element" and len(args) == 3:
         name = _bound(args[0], theta)
         if type(name) is not Atom:
-            raise ShapeError(f"element name must be an atom: {apply_subst(theta, term)!r}")
-        items, inner = _seq_items(args[1], theta, term)
-        attributes = tuple([_to_attribute(a, inner) for a in items])
-        items, inner = _seq_items(args[2], theta, term)
-        return Element(name.text, attributes, tuple([_to_node(c, inner) for c in items]))
+            raise ShapeError(f"element name must be an atom: {_resolve(term, theta)!r}")
+        attributes = tuple([_to_attribute(a, theta) for a in _seq_items(args[1], theta, term)])
+        children = tuple([_to_node(c, theta) for c in _seq_items(args[2], theta, term)])
+        return Element(name.text, attributes, children)
     leaf = _LEAF_FUNCTORS.get(functor)
     if leaf is None:
-        raise ShapeError(f"not a node term: {apply_subst(theta, term)!r}")
+        raise ShapeError(f"not a node term: {_resolve(term, theta)!r}")
     if len(args) != 1:
-        raise ShapeError(f"{functor} takes one argument: {apply_subst(theta, term)!r}")
+        raise ShapeError(f"{functor} takes one argument: {_resolve(term, theta)!r}")
     content = _bound(args[0], theta)
     if type(content) is not Str:
-        raise ShapeError(f"{functor} content must be a string: {apply_subst(theta, term)!r}")
+        raise ShapeError(f"{functor} content must be a string: {_resolve(term, theta)!r}")
     return leaf(content.text)
 
 
-def _seq_items(
-    term: Term, theta: Mapping[str, Term], context: Term
-) -> tuple[tuple[Term, ...], Mapping[str, Term]]:
-    seq, inner = _deref(term, theta)
+def _seq_items(term: Term, theta: Mapping[str, Term], context: Term) -> tuple[Term, ...]:
+    seq = _bound(term, theta)  # a free variable is reported as unbound, not as a shape
     if type(seq) is not Seq:
-        _bound(seq, inner)  # a free variable is reported as unbound, not as a shape
-        raise ShapeError(f"expected a sequence in {apply_subst(theta, context)!r}")
-    return seq.items, inner
+        raise ShapeError(f"expected a sequence in {_resolve(context, theta)!r}")
+    return seq.items
 
 
 def _to_attribute(term: Term, theta: Mapping[str, Term]) -> Attribute:
-    term, theta = _deref(term, theta)
-    _bound(term, theta)  # a free variable is reported as unbound, not as a shape
+    term = _bound(term, theta)  # a free variable is reported as unbound, not as a shape
     if type(term) is Compound and term.functor == "=" and len(term.args) == 2:
         name = _bound(term.args[0], theta)
         value = _bound(term.args[1], theta)
         if type(name) is Atom and type(value) is Str:
             return Attribute(name.text, value.text)
-    raise ShapeError(f"not an attribute term: {apply_subst(theta, term)!r}")
+    raise ShapeError(f"not an attribute term: {_resolve(term, theta)!r}")
 
 
 def is_ground(term: Term) -> bool:

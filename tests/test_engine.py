@@ -4,6 +4,7 @@ import pytest
 
 from ltlx import (
     ALL_SOLUTIONS,
+    FIRST_ONLY,
     Atom,
     Compound,
     InstantiationError,
@@ -95,6 +96,49 @@ class TestSolveGoals:
         theta = unify(rule.head, node_to_term(element("a")))
         with pytest.raises(TypeMismatchError):
             list(solve_goals(rs, rule.goals, theta, element("a")))
+
+
+# An `=` goal leaves O, X or P holding a variable that a later goal binds.
+LATE_CHILDREN_RULES = (
+    "template(element(a,_,[C]),[O]):-O=element(b,[],K),template(C,K).\n" + IDENTITY_TEXT
+)
+LATE_TEXT_RULES = "template(A,[text(X)]):-A=element(a,_,_),X=Y,transform(A//p#1,Y)."
+NOT_AFTER_CHAIN_RULES = (
+    "template(element(a,_,[C]),[O]):-"
+    "O=element(b,[],K),P=f(K,x),not(P=f([],y)),template(C,K).\n" + IDENTITY_TEXT
+)
+
+
+def goals_of(text):
+    return parse_rules(f"template(_,[]):-{text}.").rules[0].goals
+
+
+class TestTriangularBindings:
+    def test_solutions_keep_a_chain_of_bindings(self):
+        (solution,) = solve_goals(RuleSet(), goals_of('X=Y,Y="v"'), {}, element("r"))
+        assert solution == {"X": Var("Y"), "Y": Str("v")}
+
+    def test_output_reads_children_bound_after_the_equation(self):
+        doc = element("a", [], [element("p", [], [text("hi")])])
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            rules = parse_rules(LATE_CHILDREN_RULES).with_options(solution_mode=mode)
+            assert apply_templates(rules, doc) == (element("b", [], [text("hi")]),)
+
+    def test_output_reads_a_variable_bound_by_a_later_transform(self):
+        paragraphs = [element("p", [], [text("hello")]), element("p", [], [text("world")])]
+        doc = element("a", [], paragraphs)
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            rules = parse_rules(LATE_TEXT_RULES).with_options(solution_mode=mode)
+            assert apply_templates(rules, doc) == (text("hello"),)
+
+    def test_not_after_a_chain_leaves_no_binding(self):
+        goals = goals_of("O=element(b,[],K),P=f(K,x),not(P=f([],y))")
+        (solution,) = solve_goals(RuleSet(), goals, {}, element("r"))
+        assert "K" not in solution
+        doc = element("a", [], [element("p", [], [text("hi")])])
+        assert apply_templates(parse_rules(NOT_AFTER_CHAIN_RULES), doc) == (
+            element("b", [], [text("hi")]),
+        )
 
 
 class TestApplyTemplates:
@@ -332,6 +376,17 @@ class TestOutputInstantiation:
         rules = RuleSet((Rule(head, (row,), (), 1),))
         doc = element("a", [], [text("v1")])
         assert apply_templates(rules, doc) == (element("row", [("k", "v1")]),)
+
+    def test_attribute_written_in_an_output(self):
+        rules = parse_rules("template(element(a,_,[text(V)]),[element(row,[k=V],[])]).")
+        (row,) = apply_templates(rules, element("a", [], [text('x&"y')]))
+        assert serialize(row) == '<row k="x&amp;&quot;y"/>'
+
+    def test_attribute_written_in_a_head_binds_its_value(self):
+        rules = parse_rules('template(element(a,[k=V,m="w"],_),[text(V)]).')
+        assert apply_templates(rules, element("a", [("k", "v"), ("m", "w")])) == (text("v"),)
+        assert apply_templates(rules, element("a", [("k", "v"), ("m", "x")])) == ()
+        assert apply_templates(rules, element("a", [("j", "v"), ("m", "w")])) == ()
 
     def test_variable_bound_to_attribute_list_is_copied(self):
         rules = parse_rules("template(element(a,A,_),[element(b,A,[text(\"t\")])]).")

@@ -180,6 +180,36 @@ def test_random_documents_and_rule_sets_agree_with_reference():
     assert fired > 300  # most pairs must produce output, not just agree on errors
 
 
+# --- fixed rule texts ---------------------------------------------------------
+
+IDENTITY_TEXT = "template(text(X),[text(X)])."
+# An `=` goal leaves a binding holding a still-free variable that a later goal binds.
+LATE_BINDING_RULES = (
+    "template(element(a,_,[C]),[O]):-O=element(b,[],K),template(C,K).\n" + IDENTITY_TEXT,
+    "template(A,[text(X)]):-A=element(a,_,_),X=Y,transform(A//p#1,Y).",
+    "template(element(a,_,[C]),[O]):-O=element(b,[],K),P=f(K,x),not(P=f([],y)),"
+    "template(C,K).\n" + IDENTITY_TEXT,
+    'template(A,[text(X)]):-A=element(a,_,_),X=Y,transform(A//p/#,Y),not(X="hi").',
+    # Attributes written as name=value in a head and in an output.
+    "template(element(a,[id=V],_),[element(row,[k=V],[])]).",
+)
+LATE_BINDING_DOC = (
+    '<r><a id="1"><p>hi</p></a><a><p>hi</p><p>ho</p></a><a><p>ho</p></a><b/></r>'
+)
+
+
+@pytest.mark.parametrize("rules", LATE_BINDING_RULES)
+def test_late_bindings_agree_with_reference(rules):
+    rs = parse_rules(rules)
+    doc = parse(LATE_BINDING_DOC)
+    assert apply_templates(rs, doc)  # the rule fires on the fixed document
+    assert_same(rs, doc)
+    rng = random.Random(911)
+    for _ in range(100):
+        doc = random_document(rng, max_depth=4, max_nodes=30)
+        assert_same(rs.with_options(coerce_text=rng.random() < 0.8), doc)
+
+
 # --- samples and benchmark rule texts ----------------------------------------
 
 

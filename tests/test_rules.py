@@ -109,6 +109,18 @@ class TestParseRules:
         assert isinstance(goals[2], Transform)
         assert isinstance(goals[3], Unify)
 
+    def test_name_value_items_in_term_lists(self):
+        rule = parse_rules(
+            'template(element(a,[k=V],_),[element(row,[k=V],[])]):-X=f(n=1),X=[].'
+        ).rules[0]
+        attribute = Compound("=", (Atom("k"), Var("V")))
+        assert rule.head.args[1] == Seq((attribute,))
+        assert rule.output[0].args[1] == Seq((attribute,))
+        # A goal's top-level `=` stays a unification goal.
+        n_is_1 = Compound("=", (Atom("n"), Int(1)))
+        assert rule.goals[0] == Unify(Var("X"), Compound("f", (n_is_1,)))
+        assert rule.goals[1] == Unify(Var("X"), Seq(()))
+
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
             parse_rules("template(text(X),[text(X)])\ntemplate(a,[]).")

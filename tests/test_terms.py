@@ -363,6 +363,13 @@ def outcome(convert):
         return type(exc), str(exc)
 
 
+def fully_applied(theta, term):
+    """apply_subst repeated until nothing changes."""
+    while (applied := apply_subst(theta, term)) != term:
+        term = applied
+    return term
+
+
 def random_output_case(rng):
     """A node-shaped term with variables in every kind of position, and bindings for them.
 
@@ -384,8 +391,8 @@ def random_output_case(rng):
         elif roll < keep + (1 - keep) * 0.6:
             bindings[name] = random_ground_term(rng, depth=2)
         elif roll < keep + (1 - keep) * 0.8:
-            # A free variable, or one bound here too: a binding is substituted once.
-            bindings[name] = Var(rng.choice(("Free", *fitting)))
+            # A free variable, or one bound earlier: a chain, but never a cycle.
+            bindings[name] = Var(rng.choice(("Free", *bindings)))
     return term, Substitution(bindings)
 
 
@@ -424,6 +431,33 @@ class TestTermToNodeUnderSubstitution:
         )
         assert term_to_node(term, bound).children[0] is theta["X"]
 
+    def test_follows_chains_of_bindings_in_every_position(self):
+        values = {
+            "N": Atom("row"),
+            "A": Seq((Var("P"), Compound("=", (Var("K"), Var("V"))))),
+            "P": Compound("=", (Atom("p"), Str("q"))),
+            "K": Atom("j"),
+            "V": Str("w"),
+            "X": element("x"),
+            "T": Str("t"),
+            "C": Seq((Var("X"), Compound("text", (Var("T"),)))),
+        }
+        # Every variable reaches its value through one more variable.
+        theta = {name: Var(name + "1") for name in values}
+        theta.update({name + "1": value for name, value in values.items()})
+        term = Compound("element", (Var("N"), Var("A"), Var("C")))
+        out = term_to_node(term, theta)
+        assert out == element("row", [("p", "q"), ("j", "w")], [element("x"), text("t")])
+        assert out.children[0] is values["X"]
+        theta["T1"] = Var("U")
+        with pytest.raises(UnboundOutputError) as err:
+            term_to_node(term, theta)
+        assert err.value.variable == "U"
+        theta["T1"] = Atom("t")
+        with pytest.raises(ShapeError) as err:
+            term_to_node(term, theta)
+        assert str(err.value) == "text content must be a string: text(t)"
+
     def test_unbound_and_shape_errors_name_the_substituted_term(self):
         theta = Substitution({"X": Str("s"), "Y": Var("U")})
         with pytest.raises(UnboundOutputError) as err:
@@ -444,6 +478,6 @@ class TestTermToNodeUnderSubstitution:
         for _ in range(2000):
             term, theta = random_output_case(rng)
             got = outcome(lambda: term_to_node(term, theta))
-            assert got == outcome(lambda: term_to_node(apply_subst(theta, term))), (term, theta)
+            assert got == outcome(lambda: term_to_node(fully_applied(theta, term))), (term, theta)
             kinds.add(got[0] if isinstance(got, tuple) else "node")
         assert kinds == {"node", ShapeError, UnboundOutputError}
