@@ -135,7 +135,6 @@ from .terms import (
     apply_subst,
     is_ground,
     match,
-    node_to_term,
     term_to_node,
     unify,
     variables_of,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import xmlio
 from .nodes import Element, document_order
-from .queryops import AttrNameByValue, AttrValue, ChildNamed, DescendantOrSelfNamed, Index, PathExpr
+from .queryops import PathExpr
 from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify, parse_rules
 from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
 
@@ -132,23 +132,9 @@ def _census_path(path: PathExpr, census: _Census) -> None:
     if path.start is not None:
         census.operand(path.start)
     for step in path.steps:
-        if isinstance(step, ChildNamed):
-            census.operator("/")
-            census.operand(step.name)
-        elif isinstance(step, DescendantOrSelfNamed):
-            census.operator("//")
-            census.operand(step.name or "*")
-        elif isinstance(step, AttrValue):
-            census.operator("@")
-            census.operand(step.name)
-        elif isinstance(step, AttrNameByValue):
-            census.operator("id")
-            census.operand(step.value)
-        elif isinstance(step, Index):
-            census.operator("#")
-            census.operand(str(step.k))
-        else:
-            census.operator(repr(step))
+        census.operator(step.symbol)
+        if step.operand is not None:
+            census.operand(step.operand)
 
 
 def _census_goal(goal: Goal, census: _Census) -> None:

@@ -147,11 +147,17 @@ def node_equal(a: Node, b: Node) -> bool:
 
 
 def document_order(node: Node) -> Iterator[Node]:
-    """Pre-order enumeration of the subtree rooted at `node`, starting with it."""
-    yield node
-    if isinstance(node, Element):
-        for child in node.children:
-            yield from document_order(child)
+    """Pre-order enumeration of the subtree rooted at `node`, starting with it.
+
+    Runs on an explicit stack, so any depth works and each node costs the
+    same however deep it sits.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Element):
+            stack.extend(reversed(node.children))
 
 
 def node_count(node: Node) -> int:

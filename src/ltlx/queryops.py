@@ -1,8 +1,9 @@
 """Query and manipulation operators over document nodes.
 
 Navigation operators (/, //, @, id, #, ?, child, descendant, last,
-count) are exposed both as standalone functions and as path steps that
-chain into a path expression.  Failure of an operator is a normal
+count, lvl) are exposed both as standalone functions and as path steps
+that chain into a path expression; each step class holds its syntax,
+census and evaluation (see Step).  Failure of an operator is a normal
 outcome: stream operators yield nothing and scalar operators return
 None.  Errors are reserved for type misuse, such as asking a text node
 for its children.
@@ -11,7 +12,8 @@ for its children.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from itertools import islice
+from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import BadIndexPathError, TypeMismatchError
 from .nodes import Comment, Element, Node, PI, Text, document_order
@@ -26,113 +28,155 @@ ALL_SOLUTIONS = "all"
 # --- path steps -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChildNamed:
-    name: str
+class Step:
+    """One step of a path expression.
+
+    `symbol` is the step's token in path syntax and its operator in the
+    metrics census; `operand` is its census operand, or None.  A step
+    that `yields_values` produces strings, integers or index paths
+    instead of nodes, so only an Index may follow it.  `apply` returns
+    the step's results for one context node; `root` is the document lvl
+    computes index paths against.  Index alone selects from the whole
+    incoming stream and has no `apply`.
+    """
+
+    symbol: ClassVar[str]
+    yields_values: ClassVar[bool] = False
+    operand: ClassVar[str | None] = None
+
+    def apply(self, node: Node, coerce_text: bool, root: Node) -> Iterable[Result]:
+        raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"/{self.name}"
+        return self.symbol + (self.operand or "")
 
 
-@dataclass(frozen=True)
-class DescendantOrSelfNamed:
+_step = dataclass(frozen=True, repr=False)
+
+
+def _found(value: Result | None) -> tuple[Result, ...]:
+    return () if value is None else (value,)
+
+
+@_step
+class ChildNamed(Step):
+    name: str
+    symbol = "/"
+    operand = property(lambda self: self.name)
+
+    def apply(self, node, coerce_text, root):
+        return child_by_name(node, self.name)
+
+
+@_step
+class DescendantOrSelfNamed(Step):
     """Elements named `name` in the subtree including the context; None is the * wildcard."""
 
     name: str | None
+    symbol = "//"
+    operand = property(lambda self: self.name or "*")
 
-    def __repr__(self) -> str:
-        return f"//{self.name or '*'}"
+    def apply(self, node, coerce_text, root):
+        return descendant_or_self_by_name(node, self.name)
 
 
-@dataclass(frozen=True)
-class AttrValue:
+@_step
+class AttrValue(Step):
     name: str
+    symbol = "@"
+    yields_values = True
+    operand = property(lambda self: self.name)
 
-    def __repr__(self) -> str:
-        return f"@{self.name}"
+    def apply(self, node, coerce_text, root):
+        return _found(attr_value(node, self.name))
 
 
-@dataclass(frozen=True)
-class AttrNameByValue:
+@_step
+class AttrNameByValue(Step):
     value: str
+    symbol = "id"
+    yields_values = True
+    operand = property(lambda self: self.value)
+
+    def apply(self, node, coerce_text, root):
+        return attr_name_by_value(node, self.value)
 
     def __repr__(self) -> str:
-        return f'id("{self.value}")'
+        quoted = self.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'id("{quoted}")'
 
 
-@dataclass(frozen=True)
-class TextValue:
-    def __repr__(self) -> str:
-        return "#"
+@_step
+class TextValue(Step):
+    symbol = "#"
+    yields_values = True
+
+    def apply(self, node, coerce_text, root):
+        return _coerced_text(node) if coerce_text else _found(text_value(node))
 
 
-@dataclass(frozen=True)
-class PIValue:
-    def __repr__(self) -> str:
-        return "?"
+@_step
+class PIValue(Step):
+    symbol = "?"
+    yields_values = True
+
+    def apply(self, node, coerce_text, root):
+        return _found(pi_value(node))
 
 
-@dataclass(frozen=True)
-class Children:
-    def __repr__(self) -> str:
-        return "child"
+@_step
+class Children(Step):
+    symbol = "child"
+
+    def apply(self, node, coerce_text, root):
+        return children(node)
 
 
-@dataclass(frozen=True)
-class Descendants:
-    def __repr__(self) -> str:
-        return "descendant"
+@_step
+class Descendants(Step):
+    symbol = "descendant"
+
+    def apply(self, node, coerce_text, root):
+        return descendants(node)
 
 
-@dataclass(frozen=True)
-class LastChild:
-    def __repr__(self) -> str:
-        return "last"
+@_step
+class LastChild(Step):
+    symbol = "last"
+
+    def apply(self, node, coerce_text, root):
+        return _found(last_child(node))
 
 
-@dataclass(frozen=True)
-class CountChildren:
-    def __repr__(self) -> str:
-        return "count"
+@_step
+class CountChildren(Step):
+    symbol = "count"
+    yields_values = True
+
+    def apply(self, node, coerce_text, root):
+        return _found(count_children(node))
 
 
-@dataclass(frozen=True)
-class Lvl:
-    def __repr__(self) -> str:
-        return "lvl"
+@_step
+class Lvl(Step):
+    symbol = "lvl"
+    yields_values = True
+
+    def apply(self, node, coerce_text, root):
+        return lvl(root, node)
 
 
-@dataclass(frozen=True)
-class Index:
+@_step
+class Index(Step):
     """Select the k-th item (1-based) of the incoming result stream."""
 
     k: int
+    symbol = "#"
+    operand = property(lambda self: str(self.k))
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("index selector is 1-based")
-
-    def __repr__(self) -> str:
-        return f"#{self.k}"
-
-
-Step = Union[
-    ChildNamed,
-    DescendantOrSelfNamed,
-    AttrValue,
-    AttrNameByValue,
-    TextValue,
-    PIValue,
-    Children,
-    Descendants,
-    LastChild,
-    CountChildren,
-    Lvl,
-    Index,
-]
-
-
-_VALUE_STEPS = (AttrValue, AttrNameByValue, TextValue, PIValue, CountChildren, Lvl)
 
 
 @dataclass(frozen=True)
@@ -141,7 +185,8 @@ class PathExpr:
     (None when the context is implicit, as in CLI queries).
 
     Steps that produce non-node values terminate the path; only an Index
-    selector may follow them.
+    selector may follow them.  The repr is path syntax that parses back
+    to an equal PathExpr.
     """
 
     start: str | None
@@ -152,17 +197,17 @@ class PathExpr:
             raise ValueError("path expression needs at least one step")
         object.__setattr__(self, "steps", tuple(self.steps))
         for before, after in zip(self.steps, self.steps[1:]):
-            if isinstance(before, _VALUE_STEPS) and not isinstance(after, Index):
+            if before.yields_values and not isinstance(after, Index):
                 raise ValueError(
                     f"step {after!r} cannot follow the value-producing step {before!r}"
                 )
 
     def __repr__(self) -> str:
-        inner = "".join(
-            (" " + repr(s)) if isinstance(s, (Children, Descendants, LastChild, CountChildren, Lvl)) else repr(s)
-            for s in self.steps
-        )
-        return (self.start or "") + inner
+        text = self.start or ""
+        for step in self.steps:
+            # A word step needs a space to part it from the token before it.
+            text += f" {step!r}" if text and step.symbol.isalpha() else repr(step)
+        return text
 
 
 # --- navigation operators ---------------------------------------------------
@@ -226,9 +271,7 @@ def children(node: Node) -> Iterator[Node]:
 
 def descendants(node: Node) -> Iterator[Node]:
     """All proper descendants, document order; empty for leaves of any kind."""
-    if isinstance(node, Element):
-        for child in node.children:
-            yield from document_order(child)
+    return islice(document_order(node), 1, None)
 
 
 def last_child(node: Node) -> Node | None:
@@ -396,55 +439,9 @@ def _apply_step(
                 return
         return
     for item in stream:
-        yield from _step_on_item(item, step, position, coerce_text, root)
-
-
-def _step_on_item(
-    item: Result, step: Step, position: int, coerce_text: bool, root: Node
-) -> Iterator[Result]:
-    def need_node() -> Node:
-        if isinstance(item, (Element, Text, PI, Comment)):
-            return item
-        raise TypeMismatchError(f"needs a node, got {item!r}")
-
-    try:
-        if isinstance(step, ChildNamed):
-            yield from child_by_name(need_node(), step.name)
-        elif isinstance(step, DescendantOrSelfNamed):
-            yield from descendant_or_self_by_name(need_node(), step.name)
-        elif isinstance(step, AttrValue):
-            value = attr_value(need_node(), step.name)
-            if value is not None:
-                yield value
-        elif isinstance(step, AttrNameByValue):
-            yield from attr_name_by_value(need_node(), step.value)
-        elif isinstance(step, TextValue):
-            node = need_node()
-            if coerce_text:
-                yield from _coerced_text(node)
-            else:
-                value = text_value(node)
-                if value is not None:
-                    yield value
-        elif isinstance(step, PIValue):
-            value = pi_value(need_node())
-            if value is not None:
-                yield value
-        elif isinstance(step, Children):
-            yield from children(need_node())
-        elif isinstance(step, Descendants):
-            yield from descendants(need_node())
-        elif isinstance(step, LastChild):
-            node = last_child(need_node())
-            if node is not None:
-                yield node
-        elif isinstance(step, CountChildren):
-            count = count_children(need_node())
-            if count is not None:
-                yield count
-        elif isinstance(step, Lvl):
-            yield from lvl(root, need_node())
-        else:  # pragma: no cover - exhaustive over Step
-            raise TypeMismatchError(f"unknown step {step!r}")
-    except TypeMismatchError as exc:
-        raise TypeMismatchError(f"step {position} ({step!r}): {exc}") from None
+        try:
+            if not isinstance(item, (Element, Text, PI, Comment)):
+                raise TypeMismatchError(f"needs a node, got {item!r}")
+            yield from step.apply(item, coerce_text, root)
+        except TypeMismatchError as exc:
+            raise TypeMismatchError(f"step {position} ({step!r}): {exc}") from None

@@ -27,7 +27,7 @@ arguments; they feed the relational algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 from .errors import ParseDiagnostic, ParseError, RuleLoadError
@@ -35,28 +35,16 @@ from .queryops import (
     AttrNameByValue,
     AttrValue,
     ChildNamed,
-    Children,
-    CountChildren,
     DescendantOrSelfNamed,
-    Descendants,
     FIRST_ONLY,
     Index,
-    LastChild,
-    Lvl,
     PathExpr,
-    PIValue,
     Step,
-    TextValue,
 )
 from .terms import Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
 
-_WORD_STEPS = {
-    "child": Children,
-    "descendant": Descendants,
-    "last": LastChild,
-    "count": CountChildren,
-    "lvl": Lvl,
-}
+# Steps written as their bare symbol, such as "?" or "child".
+_BARE_STEPS = {cls.symbol: cls for cls in Step.__subclasses__() if not fields(cls)}
 
 
 # --- clause model -----------------------------------------------------------
@@ -357,20 +345,13 @@ def _parse_steps(cur: _Cursor) -> list[Step]:
             cur.next()
             steps.append(AttrValue(cur.expect("atom").value))
             continue
-        if tok.kind == "punct" and tok.value == "#":
+        if tok.kind == "punct" and tok.value == "#" and cur.peek(1).kind == "int":
             cur.next()
-            if cur.at("int"):
-                steps.append(Index(int(cur.next().value)))
-            else:
-                steps.append(TextValue())
+            steps.append(Index(int(cur.next().value)))
             continue
-        if tok.kind == "punct" and tok.value == "?":
+        if tok.kind in ("punct", "atom") and tok.value in _BARE_STEPS:
             cur.next()
-            steps.append(PIValue())
-            continue
-        if tok.kind == "atom" and tok.value in _WORD_STEPS:
-            cur.next()
-            steps.append(_WORD_STEPS[tok.value]())
+            steps.append(_BARE_STEPS[tok.value]())
             continue
         if tok.kind == "atom" and tok.value == "id":
             cur.next()
@@ -425,14 +406,27 @@ def _parse_goal(cur: _Cursor) -> Goal:
     return Unify(lhs, rhs)
 
 
-def _bindable_variables(head: Term, goals: tuple[Goal, ...]) -> set[str]:
-    names = variables_of(head)
+def _check_bindings(rule: Rule, goals: tuple[Goal, ...], bound: set[str]) -> set[str]:
+    """Range restriction, left to right: every transform start and every
+    variable of a template/2 node must be bound by the head or an earlier
+    goal.  Returns `bound` extended by `goals`; bindings made inside
+    not(...) do not count."""
     for goal in goals:
-        if isinstance(goal, Unify):
-            names |= variables_of(goal.lhs) | variables_of(goal.rhs)
-        elif isinstance(goal, (Transform, ApplyTemplates)):
-            names |= variables_of(goal.result)
-    return names
+        if isinstance(goal, Not):
+            _check_bindings(rule, (goal.inner,), set(bound))
+        elif isinstance(goal, Unify):
+            bound |= variables_of(goal.lhs) | variables_of(goal.rhs)
+        else:
+            if isinstance(goal, Transform):
+                what, needed = "transform path start", {goal.path.start}
+            else:
+                what, needed = "template goal node variable", variables_of(goal.node)
+            for var in sorted(needed - bound):
+                raise RuleLoadError(
+                    f"{rule.label}: {what} {var} is not bound by the head or an earlier goal"
+                )
+            bound |= variables_of(goal.result)
+    return bound
 
 
 def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
@@ -455,7 +449,7 @@ def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
             goals = tuple(collected)
         cur.expect("punct", ".")
         rule = Rule(head, output, goals, name_tok.line)
-        bindable = _bindable_variables(head, goals)
+        bindable = _check_bindings(rule, goals, variables_of(head))
         for term in output:
             for var in sorted(variables_of(term) - bindable):
                 raise RuleLoadError(
@@ -485,7 +479,9 @@ def parse_rules(source_text: str) -> RuleSet:
     """Parse rule-file text into a RuleSet, in source order.
 
     Raises ParseError with a 1-based position on syntax errors, and
-    RuleLoadError when an output variable can never be bound.
+    RuleLoadError when an output variable can never be bound, or when a
+    transform start or template/2 node variable is not bound by the
+    rule's head or an earlier goal.
     """
     cur = _Cursor(tokenize(source_text))
     rules: list[Rule] = []

@@ -267,8 +267,8 @@ def unify(a: Term, b: Term) -> Substitution | None:
     unify element-wise and only at equal length; there is no splicing of
     partial hedges.  Wildcard occurrences match anything and leave no
     binding in the result.  Two nodes unify when they are equal; a node
-    meeting a pattern unifies as its node_to_term shape, and variables
-    bind to the node objects themselves.
+    meeting a pattern unifies as its element/text/pi/comment compound,
+    and variables bind to the node objects themselves.
     """
     bindings: dict[str, Term] = {}
     if not _unify(a, b, bindings):
@@ -389,20 +389,6 @@ def _match_attributes(
     if type(p) is Var:
         return _match(p, Seq(tuple(map(_attribute_term, attributes))), bindings)
     return type(p) is Anonymous
-
-
-def node_to_term(node: Node) -> Term:
-    """Embed a document node as a ground term without nodes in it.
-
-    element(n, attrs, children) maps to the compound
-    element(n, [name="value", ...], [child terms]); text/pi/comment wrap
-    their content in a string literal.
-    """
-    term = _view(node)
-    if isinstance(node, Element):
-        name, attrs, children = term.args
-        term = Compound("element", (name, attrs, Seq(tuple(map(node_to_term, children.items)))))
-    return term
 
 
 _NO_BINDINGS: dict[str, Term] = {}

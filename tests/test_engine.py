@@ -15,13 +15,15 @@ from ltlx import (
     ShapeError,
     Str,
     Substitution,
+    Transform,
     TypeMismatchError,
     UnboundOutputError,
     Unify,
     Var,
+    anon,
     apply_templates,
     element,
-    node_to_term,
+    parse_path_text,
     parse_rules,
     pi,
     serialize,
@@ -32,6 +34,7 @@ from ltlx import (
 )
 
 from conftest import random_document
+from reference_engine import node_to_term
 
 SHARED_CHILD_RULES = """\
 template(element(top,_,[A,A]),[text(T)]):-
@@ -80,10 +83,11 @@ class TestSolveGoals:
         assert list(solve_goals(rs, outer, Substitution(), element("r"))) == []
 
     def test_transform_requires_bound_start(self):
-        rs = parse_rules(
-            "template(element(a,_,_),[text(T)]):-transform(B//p#1,T)."
-        )
-        rule = rs.rules[0]
+        # Built from terms: parse_rules rejects an unbound start at load time.
+        head = Compound("element", (Atom("a"), anon(), anon()))
+        goal = Transform(parse_path_text("B//p#1"), Var("T"))
+        rule = Rule(head, (Compound("text", (Var("T"),)),), (goal,), 1)
+        rs = RuleSet((rule,))
         theta = unify(rule.head, node_to_term(element("a")))
         with pytest.raises(InstantiationError):
             list(solve_goals(rs, rule.goals, theta, element("a")))

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ltlx import TokenCounts, compute_metrics, count_tokens, measure
+from ltlx import TokenCounts, compute_metrics, count_tokens, measure, parse_rules
+from ltlx.metrics import _Census, _census_ruleset
 
 
 class TestComputeMetrics:
@@ -107,6 +108,27 @@ class TestCountTokensRuleDialect:
         counts = count_tokens('template(element(a,_,_),[text("a")]).')
         # operands: atom a, wildcards (two _), string "a"
         assert counts.eta2 == 3
+
+    def test_census_of_every_path_step(self):
+        script = (
+            "template(R,[text(A),text(B),text(C),text(D),text(E)]):-\n"
+            '   transform(R/s//t#2,A),transform(R//*@k,B),transform(R id("v"),C),\n'
+            "   transform(R child last#,D),transform(R descendant?,E).\n"
+            "template(N,[text(F)]):-transform(N count,F),transform(N lvl#1,G).\n"
+        )
+        census = _Census()
+        _census_ruleset(parse_rules(script), census)
+        # Each step counts its symbol as an operator, then its operand, if any.
+        assert census.operators == {
+            "template": 2, "[|]": 2, "text": 6, ":-": 2, ",": 5, "transform": 7,
+            "/": 1, "//": 2, "#": 3, "@": 1, "id": 1, "child": 1, "last": 1,
+            "descendant": 1, "?": 1, "count": 1, "lvl": 1,
+        }
+        assert census.operands == {
+            "R": 6, "A": 2, "B": 2, "C": 2, "D": 2, "E": 2, "N": 3, "F": 2, "G": 1,
+            "s": 1, "t": 1, "2": 1, "*": 1, "k": 1, "v": 1, "1": 1,
+        }
+        assert count_tokens(script) == TokenCounts(17, 16, 38, 29)
 
     def test_parse_failure_propagates(self):
         with pytest.raises(Exception):

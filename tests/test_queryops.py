@@ -257,6 +257,19 @@ class TestDocumentOrderEquivalence:
             assert list(descendants(doc)) == list(document_order(doc))[1:]
 
 
+class TestDeepChain:
+    def test_traversals_walk_a_100000_deep_chain(self):
+        depth = 100_000
+        chain = element("x")
+        for _ in range(depth):
+            chain = element("x", [], [chain])
+        assert node_count(chain) == depth + 1
+        assert sum(1 for _ in descendants(chain)) == depth
+        found = list(eval_path(chain, parse_path_text("//x")))
+        assert len(found) == depth + 1
+        assert found[0] is chain and found[-1].children == ()
+
+
 def enumerate_index_paths(node, prefix=()):
     """All (index path, node) pairs of a document, pre-order."""
     yield prefix, node

@@ -22,6 +22,7 @@ import pytest
 
 import reference_engine
 from conftest import abstract, random_document, rename, wildcards
+from reference_engine import node_to_term
 from ltlx import (
     ALL_SOLUTIONS,
     FIRST_ONLY,
@@ -39,7 +40,6 @@ from ltlx import (
     anon,
     apply_templates,
     document_order,
-    node_to_term,
     parse,
     parse_path_text,
     parse_rules,

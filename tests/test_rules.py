@@ -22,6 +22,7 @@ from ltlx import (
     PIValue,
     RuleLoadError,
     Seq,
+    Step,
     Str,
     TextValue,
     Transform,
@@ -142,6 +143,56 @@ class TestParseRules:
             parse_rules("p(1):-q(1).")
 
 
+class TestBindingAtLoad:
+    """A transform start or template/2 node variable must be bound by the
+    head or an earlier goal; bindings inside not(...) do not count."""
+
+    def load_error(self, text):
+        with pytest.raises(RuleLoadError) as err:
+            parse_rules(text)
+        return str(err.value)
+
+    def test_unbound_transform_start(self):
+        message = self.load_error(
+            'template(text(X),[text(X)]).\n'
+            "template(element(a,_,_),[text(T)]):-transform(B//p#1,T)."
+        )
+        assert "line 2" in message and "transform path start B" in message
+
+    def test_start_bound_only_by_a_later_goal(self):
+        message = self.load_error(
+            "template(element(a,_,_),[text(T)]):-transform(B//p#1,T),B=element(p,_,_)."
+        )
+        assert "line 1" in message and "B" in message
+
+    def test_unbound_template_node_variable(self):
+        message = self.load_error(
+            "template(element(a,_,_),[element(b,[],K)]):-template(element(c,[],[N]),K)."
+        )
+        assert "line 1" in message and "template goal node variable N" in message
+
+    def test_start_bound_only_inside_not(self):
+        message = self.load_error(
+            "template(element(a,_,_),[text(T)]):-"
+            "not(B=element(p,[],[])),transform(B//p#1,T)."
+        )
+        assert "line 1" in message and "transform path start B" in message
+
+    def test_goal_inside_not_is_checked(self):
+        message = self.load_error(
+            "template(element(a,_,_),[]):-not(transform(B/p,_))."
+        )
+        assert "transform path start B" in message
+
+    def test_bound_by_head_or_earlier_goal_loads(self):
+        rs = parse_rules(
+            "template(element(a,_,[C]),[element(b,[],K),text(T)]):-"
+            "template(C,K),transform(C//p#1,P),transform(P//q#1,T),"
+            "D=element(d,[],[]),template(D,_)."
+        )
+        assert len(rs.rules[0].goals) == 5
+
+
 class TestFacts:
     def test_fact_clauses_collected(self):
         rs = parse_rules('r(1,a).\nr(2,b).\ns("x").\n')
@@ -200,6 +251,30 @@ class TestPathText:
             TextValue(),
         )
         assert parse_path_text("//p lvl").steps == (DescendantOrSelfNamed("p"), Lvl())
+
+    # At least one text per step kind, as the next test checks.
+    STEP_TEXTS = (
+        "/a", "//a", "//*", "@n", 'id("v")', 'id("a\\"b")', "#", "#1", "?",
+        "child", "descendant", "last", "count", "lvl",
+    )
+
+    def test_step_texts_cover_every_step_kind(self):
+        kinds = {type(parse_path_text(t).steps[0]) for t in self.STEP_TEXTS}
+        assert kinds == set(Step.__subclasses__())
+
+    @pytest.mark.parametrize("start", ["", "X"])
+    @pytest.mark.parametrize("step", STEP_TEXTS)
+    def test_repr_reparses_to_an_equal_path(self, start, step):
+        alone, then_index = f"{start} {step}", f"{start} {step}#1"
+        after_name, after_word = f"{start}//b {step}", f"{start} child {step}"
+        for text in (alone, then_index, after_name, after_word):
+            path = parse_path_text(text)
+            assert parse_path_text(repr(path)) == path, repr(path)
+
+    def test_repr_separates_word_steps(self):
+        assert repr(parse_path_text('//a id("v")')) == '//a id("v")'
+        assert repr(parse_path_text("child ?")) == "child?"
+        assert repr(parse_path_text("A//p#1 child")) == "A//p#1 child"
 
     def test_leading_variable_optional(self):
         assert parse_path_text("//p").start is None

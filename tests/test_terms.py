@@ -20,7 +20,6 @@ from ltlx import (
     element,
     is_ground,
     match,
-    node_to_term,
     pi,
     term_to_node,
     text,
@@ -36,6 +35,7 @@ from conftest import (
     rename,
     wildcards,
 )
+from reference_engine import node_to_term
 
 
 def naive_replace(mapping, term):
