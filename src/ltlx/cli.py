@@ -67,9 +67,12 @@ def _sentinels(option: str | None) -> SentinelConfig:
         raise LtlxError("sentinels must be three comma-separated hex code points")
     try:
         marks = [chr(int(p, 16)) for p in parts]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise LtlxError(f"bad sentinel code point in {raw!r}") from None
-    return SentinelConfig(*marks)
+    try:
+        return SentinelConfig(*marks)
+    except ValueError as exc:  # repeated code points
+        raise LtlxError(f"{exc}: {raw!r}") from None
 
 
 def _format_result(value, declaration: bool) -> str:

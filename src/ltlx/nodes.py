@@ -14,6 +14,11 @@ from typing import Iterable, Iterator, Union
 from .errors import DuplicateAttributeError
 
 
+def quoted(text: str) -> str:
+    """`text` as a string literal of the rule syntax, which parses back to it."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 @dataclass(frozen=True)
 class Attribute:
     name: str
@@ -50,7 +55,7 @@ class Text:
     content: str
 
     def __repr__(self) -> str:
-        return f'text("{self.content}")'
+        return f"text({quoted(self.content)})"
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class PI:
     content: str
 
     def __repr__(self) -> str:
-        return f'pi("{self.content}")'
+        return f"pi({quoted(self.content)})"
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class Comment:
     content: str
 
     def __repr__(self) -> str:
-        return f'comment("{self.content}")'
+        return f"comment({quoted(self.content)})"
 
 
 Node = Union[Element, Text, PI, Comment]

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import BadIndexPathError, TypeMismatchError
-from .nodes import Comment, Element, Node, PI, Text, document_order
+from .nodes import Comment, Element, Node, PI, Text, document_order, quoted
 
 IndexPath = tuple[int, ...]
 Result = Union[Node, str, int, IndexPath]
@@ -102,8 +102,7 @@ class AttrNameByValue(Step):
         return attr_name_by_value(node, self.value)
 
     def __repr__(self) -> str:
-        quoted = self.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'id("{quoted}")'
+        return f"id({quoted(self.value)})"
 
 
 @_step

@@ -1,6 +1,6 @@
-"""Rule files: tokenizer, term/path/clause parser, and load-time checks.
+r"""Rule files: tokenizer, term/path/clause parser, and load-time checks.
 
-Grammar (UTF-8, '.'-terminated clauses, '%' line comments):
+Grammar (UTF-8, '.'-terminated clauses):
 
     clause   := "template(" term "," "[" term-list "]" ")"
                     ( ":-" goal ("," goal)* )? "."
@@ -9,7 +9,7 @@ Grammar (UTF-8, '.'-terminated clauses, '%' line comments):
               | "transform(" pathexpr "," term ")"
               | "template(" term "," term ")"
               | "not(" goal ")"
-    pathexpr := VAR step*
+    pathexpr := VAR step+
     step     := "/" name | "//" (name | "*") | "@" name | "#" | "#" INT
               | "?" | "child" | "descendant" | "last" | "count" | "lvl"
               | "id" "(" scalar ")"
@@ -17,8 +17,21 @@ Grammar (UTF-8, '.'-terminated clauses, '%' line comments):
               | atom "(" term-list ")" | "[" term-list "]"
     term-list := ( item ("," item)* )?
     item     := term ( "=" term )?                    (name=value)
-    VAR      := uppercase letter, then letters/digits/underscores
-    atom     := lowercase letter, then letters/digits/underscores
+
+Lexical rules (the table `_TOKEN`):
+
+    VAR      := an uppercase letter, then letters, digits or underscores
+    atom     := any other letter, then letters, digits or underscores
+    INT      := a run of decimal digits, of any script ("٣" is 3); "#" INT
+                counts from 1
+    STRING   := '"' chars '"', where \n is a newline, \t a tab, and a
+                backslash before any other character (\" and \\ among
+                them) stands for that character; a raw newline ends the
+                string as unterminated
+
+Spaces, tabs and carriage returns separate tokens, and "%" starts a
+comment that runs to the end of the line.  An identifier starts with a
+letter, so "²" (a digit, but not a decimal one) starts no token.
 
 A "/" in front of a non-name step ("//p#1/#") is a cosmetic separator.
 Fact clauses use any functor other than `template` and carry only scalar
@@ -27,6 +40,7 @@ arguments; they feed the relational algebra.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
@@ -127,7 +141,27 @@ class RuleSet:
 
 # --- tokenizer --------------------------------------------------------------
 
-_PUNCT = {"(", ")", "[", "]", ",", ".", "=", "@", "#", "?", "*"}
+_TOKEN = re.compile(
+    r"""
+      (?P<word>[^\W\d_]\w*)
+    | (?P<punct>:- | // | [()\[\],.=@#?*/] | _(?!\w))
+    | (?P<skip>[ \t\r]+ | %[^\n]*)
+    | (?P<newline>\n)
+    | (?P<string>"(?: [^"\\\n] | \\[\s\S] )*")
+    | (?P<int>\d+)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_UNESCAPE = {"n": "\n", "t": "\t"}
+
+# Why a character starts no token, keyed on that character.
+_ERRORS = {
+    ":": "expected ':-'",
+    "_": "named wildcards are not supported; use '_'",
+    '"': "unterminated string",
+}
 
 
 @dataclass(frozen=True)
@@ -144,99 +178,27 @@ def _fail(line: int, col: int, message: str) -> ParseError:
 
 def tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == ":":
-            if source[i : i + 2] != ":-":
-                raise _fail(line, col, "expected ':-'")
-            tokens.append(_Token("punct", ":-", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == "/":
-            if source[i : i + 2] == "//":
-                tokens.append(_Token("punct", "//", start_line, start_col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("punct", "/", start_line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "_":
-            if i + 1 < n and (source[i + 1].isalnum() or source[i + 1] == "_"):
-                raise _fail(line, col, "named wildcards are not supported; use '_'")
-            tokens.append(_Token("punct", "_", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise _fail(start_line, start_col, "unterminated string")
-                c = source[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise _fail(start_line, start_col, "unterminated string")
-                    esc = source[i + 1]
-                    chars.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(c)
-                i += 1
-                col += 1
-            tokens.append(_Token("string", "".join(chars), start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "var" if word[0].isupper() else "atom"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise _fail(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "word" and text[0].isalpha():
+            tokens.append(_Token("var" if text[0].isupper() else "atom", text, line, col))
+        elif kind in ("word", "bad"):  # a word may start with a digit such as "²"
+            raise _fail(line, col, _ERRORS.get(text[0], f"unexpected character {text[0]!r}"))
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda m: _UNESCAPE.get(m[1], m[1]), text[1:-1])
+            tokens.append(_Token(kind, value, line, col))
+            if "\n" in text:  # an escaped newline
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
+        else:
+            tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -279,7 +241,7 @@ def _parse_term(cur: _Cursor) -> Term:
         return anon()
     if tok.kind == "int":
         cur.next()
-        return Int(int(tok.value))
+        return Int(_int(tok))
     if tok.kind == "string":
         cur.next()
         return Str(tok.value)
@@ -314,6 +276,13 @@ def _parse_term_list(cur: _Cursor, closer: str) -> list[Term]:
         cur.next()
 
 
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # more digits than int() converts
+        raise _fail(tok.line, tok.col, "integer has too many digits") from None
+
+
 def _scalar_text(term: Term, tok: _Token) -> str:
     if isinstance(term, Atom) or isinstance(term, Str):
         return term.text
@@ -322,58 +291,49 @@ def _scalar_text(term: Term, tok: _Token) -> str:
     raise _fail(tok.line, tok.col, "expected an atom, number, or string")
 
 
-def _parse_steps(cur: _Cursor) -> list[Step]:
+def _parse_path(cur: _Cursor, start: str | None) -> PathExpr:
+    """The steps after `start`, as a PathExpr that needs at least one step.
+
+    A ValueError from Index or PathExpr becomes a ParseError at the token
+    of the step that caused it.
+    """
     steps: list[Step] = []
     while True:
+        if cur.at("punct", "/") and cur.peek(1).kind != "atom":
+            cur.next()  # separator before a symbolic step, as in //p#1/#
         tok = cur.peek()
-        if tok.kind == "punct" and tok.value == "/":
-            if cur.peek(1).kind == "atom":
+        word = tok.value if tok.kind in ("punct", "atom") else None
+        try:
+            if word == "/":
                 cur.next()
                 steps.append(ChildNamed(cur.next().value))
-            else:
-                cur.next()  # separator before a symbolic step, as in //p#1/#
-            continue
-        if tok.kind == "punct" and tok.value == "//":
-            cur.next()
-            if cur.at("punct", "*"):
+            elif word == "//":
                 cur.next()
-                steps.append(DescendantOrSelfNamed(None))
+                if cur.at("punct", "*"):
+                    cur.next()
+                    steps.append(DescendantOrSelfNamed(None))
+                else:
+                    steps.append(DescendantOrSelfNamed(cur.expect("atom").value))
+            elif word == "@":
+                cur.next()
+                steps.append(AttrValue(cur.expect("atom").value))
+            elif word == "#" and cur.peek(1).kind == "int":
+                cur.next()
+                steps.append(Index(_int(cur.next())))
+            elif word == "id":
+                cur.next()
+                cur.expect("punct", "(")
+                value_tok = cur.peek()
+                steps.append(AttrNameByValue(_scalar_text(_parse_term(cur), value_tok)))
+                cur.expect("punct", ")")
+            elif word in _BARE_STEPS:
+                cur.next()
+                steps.append(_BARE_STEPS[word]())
             else:
-                steps.append(DescendantOrSelfNamed(cur.expect("atom").value))
-            continue
-        if tok.kind == "punct" and tok.value == "@":
-            cur.next()
-            steps.append(AttrValue(cur.expect("atom").value))
-            continue
-        if tok.kind == "punct" and tok.value == "#" and cur.peek(1).kind == "int":
-            cur.next()
-            steps.append(Index(int(cur.next().value)))
-            continue
-        if tok.kind in ("punct", "atom") and tok.value in _BARE_STEPS:
-            cur.next()
-            steps.append(_BARE_STEPS[tok.value]())
-            continue
-        if tok.kind == "atom" and tok.value == "id":
-            cur.next()
-            cur.expect("punct", "(")
-            value_tok = cur.peek()
-            value = _scalar_text(_parse_term(cur), value_tok)
-            cur.expect("punct", ")")
-            steps.append(AttrNameByValue(value))
-            continue
-        return steps
-
-
-def _parse_path(cur: _Cursor) -> PathExpr:
-    start_tok = cur.expect("var")
-    steps = _parse_steps(cur)
-    if not steps:
-        tok = cur.peek()
-        raise _fail(tok.line, tok.col, "path expression needs at least one step")
-    try:
-        return PathExpr(start_tok.value, tuple(steps))
-    except ValueError as exc:
-        raise _fail(start_tok.line, start_tok.col, str(exc)) from None
+                return PathExpr(start, tuple(steps))
+            PathExpr(start, tuple(steps[-2:]))  # checks the new step against the one before
+        except ValueError as exc:
+            raise _fail(tok.line, tok.col, str(exc)) from None
 
 
 def _parse_goal(cur: _Cursor) -> Goal:
@@ -387,7 +347,7 @@ def _parse_goal(cur: _Cursor) -> Goal:
     if tok.kind == "atom" and tok.value == "transform" and cur.peek(1).value == "(":
         cur.next()
         cur.next()
-        path = _parse_path(cur)
+        path = _parse_path(cur, cur.expect("var").value)
         cur.expect("punct", ",")
         result = _parse_term(cur)
         cur.expect("punct", ")")
@@ -458,18 +418,10 @@ def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
         rules.append(rule)
         return
     cur.expect("punct", "(")
-    values: list[Term] = []
-    if not cur.at("punct", ")"):
-        while True:
-            tok = cur.peek()
-            term = _parse_term(cur)
-            if not isinstance(term, (Atom, Int, Str)):
-                raise _fail(tok.line, tok.col, "fact arguments must be scalars")
-            values.append(term)
-            if cur.at("punct", ","):
-                cur.next()
-                continue
-            break
+    values = _parse_term_list(cur, ")")
+    for term in values:
+        if not isinstance(term, (Atom, Int, Str)):
+            raise _fail(name_tok.line, name_tok.col, f"fact arguments must be scalars: {term!r}")
     cur.expect("punct", ")")
     cur.expect("punct", ".")
     facts.append(Fact(name_tok.value, tuple(values), name_tok.line))
@@ -495,23 +447,19 @@ def parse_term_text(text: str) -> Term:
     """Parse a single term, requiring it to span the whole input."""
     cur = _Cursor(tokenize(text))
     term = _parse_term(cur)
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise _fail(tok.line, tok.col, f"unexpected trailing {tok.value!r}")
+    _expect_end(cur)
     return term
 
 
 def parse_path_text(text: str) -> PathExpr:
     """Parse a path expression; the leading variable is optional (CLI form)."""
     cur = _Cursor(tokenize(text))
-    start = cur.next().value if cur.at("var") else None
-    steps = _parse_steps(cur)
+    path = _parse_path(cur, cur.next().value if cur.at("var") else None)
+    _expect_end(cur)
+    return path
+
+
+def _expect_end(cur: _Cursor) -> None:
     tok = cur.peek()
     if tok.kind != "eof":
         raise _fail(tok.line, tok.col, f"unexpected trailing {tok.value!r}")
-    if not steps:
-        raise _fail(tok.line, tok.col, "path expression needs at least one step")
-    try:
-        return PathExpr(start, tuple(steps))
-    except ValueError as exc:
-        raise _fail(1, 1, str(exc)) from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
-from .nodes import Attribute, Comment, Element, Node, PI, Text, node_equal
+from .nodes import Attribute, Comment, Element, Node, PI, Text, node_equal, quoted
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Str:
     text: str
 
     def __repr__(self) -> str:
-        return f'"{self.text}"'
+        return quoted(self.text)
 
 
 @dataclass(frozen=True)

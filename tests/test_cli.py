@@ -326,3 +326,24 @@ class TestNoTraceback:
             encoding="utf-8",
         )
         self.assert_one_line_error(*run_process("transform", "-r", str(rules), str(doc)))
+
+    def test_index_zero_in_a_query(self, tmp_path):
+        doc = tmp_path / "doc.xml"
+        doc.write_text("<a><p>x</p></a>", encoding="utf-8")
+        code, err = run_process("query", "-p", "#0", str(doc))
+        self.assert_one_line_error(code, err)
+        assert "1:1: index selector is 1-based" in err
+
+    def test_non_decimal_digit_in_a_fact_file(self, tmp_path):
+        facts = tmp_path / "facts.ltl"
+        facts.write_text("r(²).\n", encoding="utf-8")
+        code, err = run_process("relalg", "-r", str(facts), "-e", "r")
+        self.assert_one_line_error(code, err)
+        assert "unexpected character '²'" in err
+
+    @pytest.mark.parametrize("raw", ["E000,E000,E001", "FFFFFFFFFFFFFFFFFFFF,E001,E002"])
+    def test_bad_sentinels_by_flag_or_environment(self, tmp_path, raw):
+        doc = tmp_path / "doc.xml"
+        doc.write_text("<a/>", encoding="utf-8")
+        self.assert_one_line_error(*run_process("encode", "--sentinels", raw, str(doc)))
+        self.assert_one_line_error(*run_process("decode", str(doc), LTL_SENTINELS=raw))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlx import (
     Anonymous,
@@ -8,6 +9,7 @@ from ltlx import (
     AttrValue,
     ChildNamed,
     Children,
+    Comment,
     Compound,
     CountChildren,
     DescendantOrSelfNamed,
@@ -15,15 +17,18 @@ from ltlx import (
     Index,
     Int,
     LastChild,
+    LtlxError,
     Lvl,
     Not,
     ParseError,
     PathExpr,
+    PI,
     PIValue,
     RuleLoadError,
     Seq,
     Step,
     Str,
+    Text,
     TextValue,
     Transform,
     Unify,
@@ -31,6 +36,7 @@ from ltlx import (
     parse_path_text,
     parse_rules,
     parse_term_text,
+    term_to_node,
 )
 
 SHARED_CHILD_RULES = """\
@@ -300,3 +306,72 @@ class TestPathText:
             parse_rules("template(element(a,_,_),[text(T)]):-transform(A count child,T).")
         # an index selector may still pick among the produced values
         assert parse_path_text("//p/##2").steps[-1] == Index(2)
+
+
+class TestIndexFromOne:
+    """`#0` is a ParseError at the `#`, in rule files and in path text."""
+
+    def position(self, parse, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        diag = err.value.diagnostic
+        assert diag.message == "index selector is 1-based"
+        return diag.line, diag.column
+
+    def test_in_path_text(self):
+        assert self.position(parse_path_text, "#0") == (1, 1)
+        assert self.position(parse_path_text, "A//p#0") == (1, 5)
+
+    def test_in_a_rule_file(self):
+        rules = "template(element(a,_,[A]),[text(T)]):-\n   transform(A//p#0,T).\n"
+        assert self.position(parse_rules, rules) == (2, 18)
+
+    def test_value_step_error_points_at_the_step(self):
+        with pytest.raises(ParseError) as err:
+            parse_path_text("//a @href child")
+        assert str(err.value) == "1:11: step child cannot follow the value-producing step @href"
+
+
+class TestLiterals:
+    def test_integer_with_too_many_digits(self):
+        for parse, text in ((parse_term_text, "7" * 5000), (parse_path_text, "#" + "7" * 5000)):
+            with pytest.raises(ParseError, match="too many digits"):
+                parse(text)
+
+    def test_non_scalar_fact_argument_is_named(self):
+        with pytest.raises(ParseError, match=r"1:1: fact arguments must be scalars: f\(1\)"):
+            parse_rules("r(a,f(1)).")
+        with pytest.raises(ParseError, match="scalars: k=1"):
+            parse_rules("r(k=1).")
+
+
+# Tokens of the rule syntax, and characters that have broken the front end.
+SOUP = st.lists(
+    st.sampled_from([
+        "template(", "element(", "text(", "transform(", "not(", "id(", "r(",
+        "(", ")", "[", "]", ",", ".", ":-", ":", "=", "_", "_X", "X", "a", "0", "1",
+        "#", "#0", "#1", "/", "//", "//*", "@", "?", "child", "count", "lvl",
+        "²", "٣", "%", "% c\n", "\n", " ", '"', "\\", '"s"', '"\\"', '"\\\n"',
+    ]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.text(), SOUP))
+def test_parsers_raise_only_ltlx_errors(text):
+    for parse in (parse_rules, parse_path_text, parse_term_text):
+        try:
+            parse(text)
+        except LtlxError:
+            pass
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.text())
+def test_string_reprs_parse_back(text):
+    assert parse_term_text(repr(Str(text))) == Str(text)
+    path = PathExpr(None, (AttrNameByValue(text),))
+    assert parse_path_text(repr(path)) == path
+    for leaf in (Text(text), PI(text), Comment(text)):
+        assert term_to_node(parse_term_text(repr(leaf))) == leaf
