@@ -192,8 +192,3 @@ def count_tokens(script: str, dialect: str = DIALECT_LTL) -> TokenCounts:
     else:
         raise ValueError(f"unknown dialect {dialect!r}")
     return census.counts()
-
-
-def measure(script: str, dialect: str = DIALECT_LTL) -> MetricsReport:
-    """count_tokens followed by compute_metrics."""
-    return compute_metrics(count_tokens(script, dialect))

@@ -29,7 +29,7 @@ class Attribute:
             raise ValueError("attribute name must be non-empty")
 
     def __repr__(self) -> str:
-        return f"'{self.name}=\"{self.value}\"'"
+        return f"{self.name}={quoted(self.value)}"
 
 
 @dataclass(frozen=True)

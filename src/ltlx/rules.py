@@ -231,7 +231,23 @@ class _Cursor:
 # --- parser -----------------------------------------------------------------
 
 
-def _parse_term(cur: _Cursor) -> Term:
+# Terms, and not(...) goals with the terms inside them, nested deeper
+# than this are a ParseError at the bracket or parenthesis that opens
+# one level too many.  At 100 levels the parser's own recursion and
+# every later recursive walk of a term (variables_of, the census, repr
+# at about five frames a level, matching, term_to_node) stay well inside
+# Python's default recursion limit of 1000.
+MAX_TERM_DEPTH = 100
+
+
+def _open(cur: _Cursor, depth: int) -> None:
+    """Consume the bracket or parenthesis that opens nesting level depth + 1."""
+    tok = cur.next()
+    if depth >= MAX_TERM_DEPTH:
+        raise _fail(tok.line, tok.col, f"nested deeper than {MAX_TERM_DEPTH} levels")
+
+
+def _parse_term(cur: _Cursor, depth: int = 0) -> Term:
     tok = cur.peek()
     if tok.kind == "var":
         cur.next()
@@ -246,30 +262,30 @@ def _parse_term(cur: _Cursor) -> Term:
         cur.next()
         return Str(tok.value)
     if tok.kind == "punct" and tok.value == "[":
-        cur.next()
-        items = _parse_term_list(cur, "]")
+        _open(cur, depth)
+        items = _parse_term_list(cur, "]", depth + 1)
         cur.expect("punct", "]")
         return Seq(tuple(items))
     if tok.kind == "atom":
         cur.next()
         if cur.at("punct", "("):
-            cur.next()
-            args = _parse_term_list(cur, ")")
+            _open(cur, depth)
+            args = _parse_term_list(cur, ")", depth + 1)
             cur.expect("punct", ")")
             return Compound(tok.value, tuple(args))
         return Atom(tok.value)
     raise _fail(tok.line, tok.col, f"expected a term, got {tok.value or tok.kind!r}")
 
 
-def _parse_term_list(cur: _Cursor, closer: str) -> list[Term]:
+def _parse_term_list(cur: _Cursor, closer: str, depth: int = 0) -> list[Term]:
     items: list[Term] = []
     if cur.at("punct", closer):
         return items
     while True:
-        item = _parse_term(cur)
+        item = _parse_term(cur, depth)
         if cur.at("punct", "="):  # name=value, as in an attribute list
             cur.next()
-            item = Compound("=", (item, _parse_term(cur)))
+            item = Compound("=", (item, _parse_term(cur, depth)))
         items.append(item)
         if not cur.at("punct", ","):
             return items
@@ -336,12 +352,12 @@ def _parse_path(cur: _Cursor, start: str | None) -> PathExpr:
             raise _fail(tok.line, tok.col, str(exc)) from None
 
 
-def _parse_goal(cur: _Cursor) -> Goal:
+def _parse_goal(cur: _Cursor, depth: int = 0) -> Goal:
     tok = cur.peek()
     if tok.kind == "atom" and tok.value == "not" and cur.peek(1).value == "(":
         cur.next()
-        cur.next()
-        inner = _parse_goal(cur)
+        _open(cur, depth)
+        inner = _parse_goal(cur, depth + 1)
         cur.expect("punct", ")")
         return Not(inner)
     if tok.kind == "atom" and tok.value == "transform" and cur.peek(1).value == "(":
@@ -349,20 +365,20 @@ def _parse_goal(cur: _Cursor) -> Goal:
         cur.next()
         path = _parse_path(cur, cur.expect("var").value)
         cur.expect("punct", ",")
-        result = _parse_term(cur)
+        result = _parse_term(cur, depth)
         cur.expect("punct", ")")
         return Transform(path, result)
     if tok.kind == "atom" and tok.value == "template" and cur.peek(1).value == "(":
         cur.next()
         cur.next()
-        node = _parse_term(cur)
+        node = _parse_term(cur, depth)
         cur.expect("punct", ",")
-        result = _parse_term(cur)
+        result = _parse_term(cur, depth)
         cur.expect("punct", ")")
         return ApplyTemplates(node, result)
-    lhs = _parse_term(cur)
+    lhs = _parse_term(cur, depth)
     cur.expect("punct", "=")
-    rhs = _parse_term(cur)
+    rhs = _parse_term(cur, depth)
     return Unify(lhs, rhs)
 
 

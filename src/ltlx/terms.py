@@ -1,4 +1,4 @@
-"""Pattern terms, matching, most-general unification, and substitutions.
+"""Pattern terms, matching, and most-general unification.
 
 Template heads are terms with variables; document nodes are ground terms.
 Matching a head against a node is one-sided: the node has no variables,
@@ -7,16 +7,17 @@ the head does.  Variables bind to the node objects themselves, and
 `term_to_node` builds an output straight from the bindings, so the
 output a rule builds shares the subtrees it bound instead of copying
 them.  General unification is left for `=` goals, whose two sides may
-both hold variables.  The engine keeps a rule's bindings in one
-triangular dict, which `_match` and `_unify` extend in place and
-`term_to_node` reads through.
+both hold variables.  Bindings are a plain dict from variable names to
+terms: `match` and `unify` return one, or None when there is none.  The
+engine keeps a rule's bindings in one triangular dict, which `_match`
+and `_unify` extend in place and `term_to_node` reads through.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
 from .nodes import Attribute, Comment, Element, Node, PI, Text, node_equal, quoted
@@ -108,45 +109,6 @@ def anon() -> Anonymous:
     return Anonymous(next(_anon_ids))
 
 
-class Substitution(Mapping[str, Term]):
-    """A finite, idempotent map from variable names to terms.
-
-    Kept in solved form: no bound variable occurs in any bound term, so
-    applying the substitution once is the same as applying it repeatedly.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Mapping[str, Term] | None = None):
-        self._bindings: dict[str, Term] = dict(bindings or {})
-
-    def __getitem__(self, name: str) -> Term:
-        return self._bindings[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._bindings
-
-    def get(self, name: str, default: Term | None = None) -> Term | None:
-        return self._bindings.get(name, default)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k} -> {v!r}" for k, v in sorted(self._bindings.items()))
-        return "{" + inner + "}"
-
-    def compose(self, delta: "Substitution") -> "Substitution":
-        """The substitution equivalent to applying self, then delta."""
-        merged = {name: apply_subst(delta, term) for name, term in self._bindings.items()}
-        for name, term in delta.items():
-            merged.setdefault(name, term)
-        return Substitution(merged)
-
-
 def variables_of(term: Term) -> set[str]:
     """Names of all named variables occurring in `term` (wildcards excluded)."""
     out: set[str] = set()
@@ -165,7 +127,7 @@ def _collect_vars(term: Term, out: set[str]) -> None:
             _collect_vars(i, out)
 
 
-def apply_subst(theta: Substitution | Mapping[str, Term], term: Term) -> Term:
+def apply_subst(theta: Mapping[str, Term], term: Term) -> Term:
     """Replace every bound variable by its image; unbound variables stay."""
     if isinstance(term, Var):
         bound = theta.get(term.name)
@@ -260,24 +222,26 @@ def _resolve(term: Term, bindings: Mapping[str, Term]) -> Term:
     return term
 
 
-def unify(a: Term, b: Term) -> Substitution | None:
-    """Most-general unifier of `a` and `b`, or None when none exists.
+def unify(a: Term, b: Term) -> dict[str, Term] | None:
+    """Most-general unifier of `a` and `b` as a dict of bindings, or None.
 
     Runs with the occurs check on, so unify(X, f(X)) fails.  Sequences
     unify element-wise and only at equal length; there is no splicing of
     partial hedges.  Wildcard occurrences match anything and leave no
     binding in the result.  Two nodes unify when they are equal; a node
     meeting a pattern unifies as its element/text/pi/comment compound,
-    and variables bind to the node objects themselves.
+    and variables bind to the node objects themselves.  The bindings are
+    in solved form: no bound variable occurs in any bound term, so
+    apply_subst needs to apply them only once.
     """
     bindings: dict[str, Term] = {}
     if not _unify(a, b, bindings):
         return None
-    return Substitution({name: _resolve(term, bindings) for name, term in bindings.items()})
+    return {name: _resolve(term, bindings) for name, term in bindings.items()}
 
 
-def match(pattern: Term, ground: Term) -> Substitution | None:
-    """Bindings that make `pattern` equal to the ground term `ground`, or None.
+def match(pattern: Term, ground: Term) -> dict[str, Term] | None:
+    """The dict of bindings that makes `pattern` equal to `ground`, or None.
 
     One-sided unification: `ground` holds no variables (it is a node, or
     a term built of atoms, strings, integers, sequences, compounds and
@@ -291,9 +255,7 @@ def match(pattern: Term, ground: Term) -> Substitution | None:
     bindings.
     """
     bindings: dict[str, Term] = {}
-    if not _match(pattern, ground, bindings):
-        return None
-    return Substitution(bindings)
+    return bindings if _match(pattern, ground, bindings) else None
 
 
 def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
@@ -408,11 +370,7 @@ def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
     UnboundOutputError naming a variable that is still free, and
     ShapeError when the term is not node-shaped.
     """
-    if theta is None:
-        theta = _NO_BINDINGS
-    elif isinstance(theta, Substitution):
-        theta = theta._bindings
-    return _to_node(term, theta)
+    return _to_node(term, _NO_BINDINGS if theta is None else theta)
 
 
 def _bound(term: Term, theta: Mapping[str, Term]) -> Term:

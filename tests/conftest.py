@@ -10,22 +10,9 @@ from __future__ import annotations
 
 import random
 
-from ltlx import (
-    Atom,
-    Compound,
-    Element,
-    Int,
-    Node,
-    Seq,
-    Str,
-    Term,
-    Var,
-    anon,
-    comment,
-    element,
-    pi,
-    text,
-)
+from ltlx import element, text
+from ltlx.nodes import Element, Node, comment, pi
+from ltlx.terms import Atom, Compound, Int, Seq, Str, Term, Var, anon
 
 ELEMENT_NAMES = ("a", "b", "c", "p", "q", "top", "item")
 ATTR_NAMES = ("id", "href", "lang", "x", "y", "z")

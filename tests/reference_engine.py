@@ -4,10 +4,11 @@ This is the matching path as it stood before document nodes became
 ground terms: every match converts the node's whole subtree with
 node_to_term, renames the head's wildcards to fresh variables, unifies
 with the occurs check, and converts every output term back with
-term_to_node.  The code below is that path verbatim; only the imports
-and the fresh-name counter are local.  tests/test_reference_engine.py
-runs the engine and this oracle on the same documents and rule sets and
-requires the same output, or the same exception type.
+term_to_node.  The code below is that path verbatim; only the imports,
+the fresh-name counter and `compose` are local.  The tests in
+tests/test_reference_engine.py run the engine and this oracle on the
+same documents and rule sets and require the same output, or the same
+exception type.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ltlx.terms import (
     Int,
     Seq,
     Str,
-    Substitution,
     Term,
     Var,
     apply_subst,
@@ -106,7 +106,7 @@ def _resolve(term: Term, bindings: dict[str, Term]) -> Term:
     return term
 
 
-def unify(a: Term, b: Term) -> Substitution | None:
+def unify(a: Term, b: Term) -> dict[str, Term] | None:
     """Most-general unifier of `a` and `b`, or None when none exists.
 
     Runs with the occurs check on, so unify(X, f(X)) fails.  Sequences
@@ -122,7 +122,15 @@ def unify(a: Term, b: Term) -> Substitution | None:
         for name, term in bindings.items()
         if not name.startswith(_FRESH_PREFIX)
     }
-    return Substitution(solved)
+    return solved
+
+
+def compose(theta: dict[str, Term], delta: dict[str, Term]) -> dict[str, Term]:
+    """The bindings equivalent to applying theta, then delta."""
+    merged = {name: apply_subst(delta, term) for name, term in theta.items()}
+    for name, term in delta.items():
+        merged.setdefault(name, term)
+    return merged
 
 
 def node_to_term(node: Node) -> Term:
@@ -227,7 +235,7 @@ def _coerce_transform_result(result: Result, enabled: bool) -> Iterator[Result]:
         yield result
 
 
-def _bound_node(theta: Substitution, term: Term, what: str) -> Node:
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
     grounded = apply_subst(theta, term)
     if not is_ground(grounded):
         raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
@@ -238,8 +246,8 @@ def _bound_node(theta: Substitution, term: Term, what: str) -> Node:
 
 
 def solve_goals(
-    rs: RuleSet, goals: tuple[Goal, ...], theta: Substitution, ctx: Node
-) -> Iterator[Substitution]:
+    rs: RuleSet, goals: tuple[Goal, ...], theta: dict[str, Term], ctx: Node
+) -> Iterator[dict[str, Term]]:
     """Solve a goal conjunction left to right, yielding extended substitutions.
 
     Unification goals extend the substitution or fail; transform goals
@@ -256,7 +264,7 @@ def solve_goals(
     if isinstance(goal, Unify):
         delta = unify(apply_subst(theta, goal.lhs), apply_subst(theta, goal.rhs))
         if delta is not None:
-            yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+            yield from solve_goals(rs, rest, compose(theta, delta), ctx)
     elif isinstance(goal, Transform):
         start = goal.path.start
         if start is None or start not in theta:
@@ -282,19 +290,19 @@ def solve_goals(
                 return
             delta = unify(apply_subst(theta, goal.result), _result_to_term(first))
             if delta is not None:
-                yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+                yield from solve_goals(rs, rest, compose(theta, delta), ctx)
         else:
             for value in flattened:
                 delta = unify(apply_subst(theta, goal.result), _result_to_term(value))
                 if delta is not None:
-                    yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+                    yield from solve_goals(rs, rest, compose(theta, delta), ctx)
     elif isinstance(goal, ApplyTemplates):
         node = _bound_node(theta, goal.node, "template goal node")
         hedge = tuple(_emit(rs, node, ctx))
         produced = Seq(tuple(node_to_term(n) for n in hedge))
         delta = unify(apply_subst(theta, goal.result), produced)
         if delta is not None:
-            yield from solve_goals(rs, rest, theta.compose(delta), ctx)
+            yield from solve_goals(rs, rest, compose(theta, delta), ctx)
     elif isinstance(goal, Not):
         for _ in solve_goals(rs, (goal.inner,), theta, ctx):
             return
@@ -303,7 +311,7 @@ def solve_goals(
         raise TypeError(f"unknown goal {goal!r}")
 
 
-def _instantiate_output(rule: Rule, theta: Substitution) -> Iterator[Node]:
+def _instantiate_output(rule: Rule, theta: dict[str, Term]) -> Iterator[Node]:
     for template in rule.output:
         term = apply_subst(theta, template)
         try:

@@ -9,36 +9,22 @@ import time
 from pathlib import Path
 
 from ltlx import (
-    Comment,
-    Element,
-    PI,
-    apply_subst,
-    apply_templates,
-    cartesian,
-    compute_metrics,
     decode_core,
-    descendant_or_self_by_name,
-    difference,
-    document_order,
     element,
     encode_core,
-    is_core,
-    node_count,
     parse,
     parse_rules,
-    project,
-    reachable,
-    rem,
-    rem_el,
-    rename,
-    select,
     serialize,
     text,
-    TokenCounts,
     transform_document,
-    unify,
-    union,
 )
+from ltlx.encoding import is_core
+from ltlx.engine import apply_templates
+from ltlx.metrics import compute_metrics, TokenCounts
+from ltlx.nodes import Comment, Element, PI, document_order, node_count
+from ltlx.queryops import descendant_or_self_by_name, reachable, rem, rem_el
+from ltlx.relalg import cartesian, difference, project, rename, select, union
+from ltlx.terms import apply_subst, unify
 
 from conftest import abstract, random_document, random_ground_term, random_term
 from test_queryops import APPENDIX_RULE_CASES, enumerate_index_paths
@@ -105,7 +91,7 @@ def test_criterion_3_oracle_equivalence():
             assert list(descendant_or_self_by_name(doc, name)) == expected
 
     def random_relation(arity):
-        from ltlx import Relation
+        from ltlx.relalg import Relation
 
         rows = {
             tuple(rng.randint(0, 3) for _ in range(arity))
@@ -132,7 +118,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_unification_laws():
-    from ltlx import Compound, Var
+    from ltlx.terms import Compound, Var
 
     rng = random.Random(90_003)
     violations = 0
@@ -222,7 +208,7 @@ def test_criterion_7_reachability():
         build(n - 1, [])
         return results
 
-    from ltlx import Up, follow_index_path
+    from ltlx.queryops import Up, follow_index_path
 
     corpus = [shape for n in range(1, 6) for shape in all_shapes(n)]
     rng = random.Random(90_005)

@@ -2,24 +2,10 @@ import random
 
 import pytest
 
-from ltlx import (
-    Comment,
-    DecodeError,
-    DEFAULT_SENTINELS,
-    Element,
-    PI,
-    SentinelCollisionError,
-    SentinelConfig,
-    Text,
-    comment,
-    decode_core,
-    document_order,
-    element,
-    encode_core,
-    is_core,
-    pi,
-    text,
-)
+from ltlx import decode_core, element, encode_core, text
+from ltlx.encoding import DEFAULT_SENTINELS, SentinelConfig, is_core
+from ltlx.errors import DecodeError, SentinelCollisionError
+from ltlx.nodes import Comment, Element, PI, Text, comment, document_order, pi
 
 from conftest import random_document
 

@@ -2,36 +2,13 @@ import random
 
 import pytest
 
-from ltlx import (
-    ALL_SOLUTIONS,
-    FIRST_ONLY,
-    Atom,
-    Compound,
-    InstantiationError,
-    Not,
-    Rule,
-    RuleSet,
-    Seq,
-    ShapeError,
-    Str,
-    Substitution,
-    Transform,
-    TypeMismatchError,
-    UnboundOutputError,
-    Unify,
-    Var,
-    anon,
-    apply_templates,
-    element,
-    parse_path_text,
-    parse_rules,
-    pi,
-    serialize,
-    solve_goals,
-    text,
-    transform_document,
-    unify,
-)
+from ltlx import element, parse_path_text, parse_rules, serialize, text, transform_document
+from ltlx.engine import apply_templates, solve_goals
+from ltlx.errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
+from ltlx.nodes import pi
+from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
+from ltlx.rules import Not, Rule, RuleSet, Transform, Unify
+from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, unify
 
 from conftest import random_document
 from reference_engine import node_to_term
@@ -64,23 +41,23 @@ class TestSolveGoals:
     def test_single_unify_goal(self):
         rs = RuleSet()
         goal = Unify(Var("X"), node_to_term(text("a")))
-        solutions = list(solve_goals(rs, (goal,), Substitution(), element("r")))
+        solutions = list(solve_goals(rs, (goal,), {}, element("r")))
         assert len(solutions) == 1
         assert solutions[0]["X"] == node_to_term(text("a"))
 
     def test_negation_as_failure(self):
         rs = RuleSet()
         failing = Unify(node_to_term(text("a")), node_to_term(text("b")))
-        solutions = list(solve_goals(rs, (Not(failing),), Substitution(), element("r")))
-        assert solutions == [Substitution()]
+        solutions = list(solve_goals(rs, (Not(failing),), {}, element("r")))
+        assert solutions == [{}]
 
     def test_negation_blocks_on_success_and_discards_bindings(self):
         rs = RuleSet()
         succeeding = Unify(Var("X"), node_to_term(text("a")))
-        assert list(solve_goals(rs, (Not(succeeding),), Substitution(), element("r"))) == []
+        assert list(solve_goals(rs, (Not(succeeding),), {}, element("r"))) == []
         # inner bindings never leak
         outer = (Not(Unify(Var("Y"), node_to_term(text("a")))),)
-        assert list(solve_goals(rs, outer, Substitution(), element("r"))) == []
+        assert list(solve_goals(rs, outer, {}, element("r"))) == []
 
     def test_transform_requires_bound_start(self):
         # Built from terms: parse_rules rejects an unbound start at load time.

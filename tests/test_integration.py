@@ -2,17 +2,9 @@
 
 from pathlib import Path
 
-from ltlx import (
-    PI,
-    apply_templates,
-    canonicalize,
-    element,
-    parse,
-    parse_rules,
-    serialize,
-    text,
-    transform_document,
-)
+from ltlx import canonicalize, element, parse, parse_rules, serialize, text, transform_document
+from ltlx.engine import apply_templates
+from ltlx.nodes import PI
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ltlx import TokenCounts, compute_metrics, count_tokens, measure, parse_rules
-from ltlx.metrics import _Census, _census_ruleset
+from ltlx import parse_rules
+from ltlx.metrics import TokenCounts, _Census, _census_ruleset, compute_metrics, count_tokens
 
 
 class TestComputeMetrics:
@@ -167,7 +167,7 @@ class TestCountTokensStylesheetDialect:
 
 
 def test_measure_combines_census_and_formulas():
-    report = measure(IDENTITY_RULE)
+    report = compute_metrics(count_tokens(IDENTITY_RULE))
     assert report.counts == count_tokens(IDENTITY_RULE)
     assert report.N == report.counts.n1_total + report.counts.n2_total
 
@@ -184,8 +184,8 @@ def test_sample_pairs_measure_in_both_dialects():
         sheet = sample / "stylesheet.xsl"
         if not (rules.exists() and sheet.exists()):
             continue
-        rule_report = measure(rules.read_text(encoding="utf-8"), "ltl")
-        sheet_report = measure(sheet.read_text(encoding="utf-8"), "xslt")
+        rule_report = compute_metrics(count_tokens(rules.read_text(encoding="utf-8"), "ltl"))
+        sheet_report = compute_metrics(count_tokens(sheet.read_text(encoding="utf-8"), "xslt"))
         assert rule_report.N > 0 and sheet_report.N > 0
         assert rule_report.lam >= 0 and sheet_report.lam >= 0
         pairs += 1

@@ -2,19 +2,9 @@ import random
 
 import pytest
 
-from ltlx import (
-    Attribute,
-    DuplicateAttributeError,
-    Element,
-    canonicalize,
-    comment,
-    document_order,
-    element,
-    node_count,
-    node_equal,
-    pi,
-    text,
-)
+from ltlx import canonicalize, element, text
+from ltlx.errors import DuplicateAttributeError
+from ltlx.nodes import Attribute, Element, comment, document_order, node_count, node_equal, pi
 
 from conftest import random_document
 

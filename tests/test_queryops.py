@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from ltlx import (
-    BadIndexPathError,
+from ltlx import element, eval_path, parse_path_text, text
+from ltlx.errors import BadIndexPathError, TypeMismatchError
+from ltlx.nodes import Element, document_order, node_count, pi
+from ltlx.queryops import (
     Down,
-    Element,
-    TypeMismatchError,
     UP,
     attr_name_by_value,
     attr_value,
@@ -17,20 +17,13 @@ from ltlx import (
     count_children,
     descendant_or_self_by_name,
     descendants,
-    document_order,
-    element,
-    eval_path,
     follow_index_path,
     last_child,
     lvl,
-    node_count,
-    parse_path_text,
-    pi,
     pi_value,
     reachable,
     rem,
     rem_el,
-    text,
     text_value,
 )
 

@@ -23,28 +23,12 @@ import pytest
 import reference_engine
 from conftest import abstract, random_document, rename, wildcards
 from reference_engine import node_to_term
-from ltlx import (
-    ALL_SOLUTIONS,
-    FIRST_ONLY,
-    ApplyTemplates,
-    Atom,
-    Compound,
-    Not,
-    Rule,
-    RuleSet,
-    Seq,
-    Str,
-    Transform,
-    Unify,
-    Var,
-    anon,
-    apply_templates,
-    document_order,
-    parse,
-    parse_path_text,
-    parse_rules,
-    variables_of,
-)
+from ltlx import parse, parse_path_text, parse_rules
+from ltlx.engine import apply_templates
+from ltlx.nodes import document_order
+from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
+from ltlx.rules import ApplyTemplates, Not, Rule, RuleSet, Transform, Unify
+from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, variables_of
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = (FIRST_ONLY, ALL_SOLUTIONS)

@@ -2,23 +2,20 @@ import random
 
 import pytest
 
-from ltlx import (
-    ArityError,
-    Atom,
-    ColumnError,
-    Int,
-    LtlxError,
+from ltlx import parse_rules
+from ltlx.errors import ArityError, ColumnError, LtlxError
+from ltlx.relalg import (
     Relation,
     cartesian,
     difference,
     eval_expr,
-    parse_rules,
     project,
     relations_from_facts,
     rename,
     select,
     union,
 )
+from ltlx.terms import Atom, Int
 
 
 def rel(name, *rows):

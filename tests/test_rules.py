@@ -1,43 +1,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlx import (
-    Anonymous,
-    ApplyTemplates,
-    Atom,
+from ltlx import parse_path_text, parse_rules
+from ltlx.errors import LtlxError, ParseError, RuleLoadError
+from ltlx.metrics import count_tokens
+from ltlx.nodes import Comment, PI, Text, element
+from ltlx.queryops import (
     AttrNameByValue,
     AttrValue,
     ChildNamed,
     Children,
-    Comment,
-    Compound,
     CountChildren,
     DescendantOrSelfNamed,
     Descendants,
     Index,
-    Int,
     LastChild,
-    LtlxError,
     Lvl,
-    Not,
-    ParseError,
     PathExpr,
-    PI,
     PIValue,
-    RuleLoadError,
-    Seq,
     Step,
-    Str,
-    Text,
     TextValue,
-    Transform,
-    Unify,
-    Var,
-    parse_path_text,
-    parse_rules,
-    parse_term_text,
-    term_to_node,
 )
+from ltlx.rules import MAX_TERM_DEPTH, ApplyTemplates, Not, Transform, Unify, parse_term_text
+from ltlx.terms import Anonymous, Atom, Compound, Int, Seq, Str, Var, match, term_to_node
 
 SHARED_CHILD_RULES = """\
 template(element(top,_,[A,A]),[text(T)]):-
@@ -345,6 +330,57 @@ class TestLiterals:
             parse_rules("r(k=1).")
 
 
+class TestNestingDepth:
+    def test_term_at_the_limit_loads_and_counts(self):
+        def rule(depth):
+            return 'template(element(a,_,_),[text("x")]) :- X = ' + "[" * depth + "]" * depth + "."
+
+        source = rule(MAX_TERM_DEPTH)
+        (loaded,) = parse_rules(source).rules
+        assert repr(loaded.goals[0].rhs) == "[" * MAX_TERM_DEPTH + "]" * MAX_TERM_DEPTH
+        # Every level is one more use of the list operator.
+        assert count_tokens(source).n1_total == count_tokens(rule(1)).n1_total + MAX_TERM_DEPTH - 1
+
+    def test_element_at_the_limit_matches_and_rebuilds(self):
+        levels = MAX_TERM_DEPTH // 2  # an element term opens two levels: "(" and "["
+        source = "element(a,[],[" * levels + "X" + "])" * levels
+        term = parse_term_text(source)
+        assert repr(term) == source
+        node = Text("x")
+        for _ in range(levels):
+            node = element("a", [], [node])
+        theta = match(term, node)
+        assert theta == {"X": Text("x")}
+        assert term_to_node(term, theta) == node
+
+    @pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 10_000])
+    @pytest.mark.parametrize(
+        "parse, prefix",
+        [
+            (parse_term_text, ""),
+            (parse_rules, "template(a,[]) :- X = "),
+            (parse_path_text, "X id("),
+        ],
+    )
+    def test_deeper_terms_are_parse_errors_at_the_opening_bracket(self, parse, prefix, depth):
+        with pytest.raises(ParseError) as err:
+            parse(prefix + "f(" * depth + "a" + ")" * depth)
+        # The bracket that opens level MAX_TERM_DEPTH + 1 is column 2 of its "f(".
+        column = len(prefix) + 2 * MAX_TERM_DEPTH + 2
+        assert (err.value.diagnostic.line, err.value.diagnostic.column) == (1, column)
+        assert err.value.diagnostic.message == f"nested deeper than {MAX_TERM_DEPTH} levels"
+
+    def test_not_goals_count_towards_the_limit(self):
+        def rule(nots, depth):
+            goal = "X=" + "[" * depth + "]" * depth
+            return "template(a,[]) :- " + "not(" * nots + goal + ")" * nots + "."
+
+        parse_rules(rule(40, MAX_TERM_DEPTH - 40))
+        for source in (rule(40, MAX_TERM_DEPTH - 39), rule(10_000, 0)):
+            with pytest.raises(ParseError, match=f"nested deeper than {MAX_TERM_DEPTH}"):
+                parse_rules(source)
+
+
 # Tokens of the rule syntax, and characters that have broken the front end.
 SOUP = st.lists(
     st.sampled_from([
@@ -375,3 +411,5 @@ def test_string_reprs_parse_back(text):
     assert parse_path_text(repr(path)) == path
     for leaf in (Text(text), PI(text), Comment(text)):
         assert term_to_node(parse_term_text(repr(leaf))) == leaf
+    node = element("a", [("k", text)], [Text(text)])
+    assert term_to_node(parse_term_text(repr(node))) == node

@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from ltlx import Int, ParseError, parse_rules, parse_term_text
-from ltlx.rules import tokenize
+from ltlx import parse_rules
+from ltlx.errors import ParseError
+from ltlx.rules import parse_term_text, tokenize
+from ltlx.terms import Int
 from reference_scanner import tokenize as reference_tokenize
 
 # Every token class, Unicode letters of every case, decimal and

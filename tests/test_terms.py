@@ -2,27 +2,22 @@ import random
 
 import pytest
 
-from ltlx import (
+from ltlx import element, text
+from ltlx.errors import ShapeError, UnboundOutputError
+from ltlx.nodes import Element, document_order, pi
+from ltlx.terms import (
     Anonymous,
     Atom,
     Compound,
-    Element,
     Int,
     Seq,
-    ShapeError,
     Str,
-    Substitution,
-    UnboundOutputError,
     Var,
     anon,
     apply_subst,
-    document_order,
-    element,
     is_ground,
     match,
-    pi,
     term_to_node,
-    text,
     unify,
     variables_of,
 )
@@ -121,7 +116,7 @@ class TestUnify:
 
     def test_seq_requires_equal_length(self):
         assert unify(Seq((Var("A"),)), Seq((Atom("a"), Atom("b")))) is None
-        assert unify(Seq(()), Seq(())) == Substitution()
+        assert unify(Seq(()), Seq(())) == {}
 
     def test_atom_string_int_are_distinct(self):
         assert unify(Atom("a"), Str("a")) is None
@@ -135,7 +130,7 @@ class TestUnify:
 
     def test_wildcard_matches_anything_without_binding(self):
         theta = unify(Seq((anon(), anon())), Seq((Atom("a"), Atom("b"))))
-        assert theta == Substitution()
+        assert theta == {}
 
     def test_wildcard_occurrences_are_independent(self):
         # the same wildcard position may take different values
@@ -147,7 +142,7 @@ class TestUnify:
 
 class TestApplySubst:
     def test_replaces_every_occurrence(self):
-        theta = Substitution({"A": Compound("text", (Str("x"),))})
+        theta = {"A": Compound("text", (Str("x"),))}
         assert apply_subst(theta, Seq((Var("A"), Var("A")))) == Seq(
             (Compound("text", (Str("x"),)), Compound("text", (Str("x"),)))
         )
@@ -156,14 +151,14 @@ class TestApplySubst:
         rng = random.Random(421)
         for _ in range(50):
             term = random_term(rng)
-            assert apply_subst(Substitution(), term) == term
+            assert apply_subst({}, term) == term
 
     def test_unbound_variables_stay(self):
-        theta = Substitution({"A": Atom("a")})
+        theta = {"A": Atom("a")}
         assert apply_subst(theta, Var("B")) == Var("B")
 
     def test_wildcards_untouched(self):
-        theta = Substitution({"A": Compound("element", (Atom("a"), Seq(()), Seq(())))})
+        theta = {"A": Compound("element", (Atom("a"), Seq(()), Seq(())))}
         wild = anon()
         pattern = Compound("element", (Atom("top"), wild, Seq((Var("A"), Var("A")))))
         applied = apply_subst(theta, pattern)
@@ -176,7 +171,7 @@ class TestApplySubst:
             g1, g2 = random_ground_term(rng), random_ground_term(rng)
             mapping = {"A": g1, "B": g2}
             term = random_term(rng)
-            assert apply_subst(Substitution(mapping), term) == naive_replace(mapping, term)
+            assert apply_subst(mapping, term) == naive_replace(mapping, term)
 
 
 class TestUnificationLaws:
@@ -230,18 +225,6 @@ class TestUnificationLaws:
 
 
 class TestSubstitutionType:
-    def test_compose_applies_then_extends(self):
-        theta = Substitution({"A": Compound("f", (Var("B"),))})
-        delta = Substitution({"B": Atom("b")})
-        composed = theta.compose(delta)
-        assert composed["A"] == Compound("f", (Atom("b"),))
-        assert composed["B"] == Atom("b")
-
-    def test_mapping_interface(self):
-        theta = Substitution({"A": Atom("a")})
-        assert "A" in theta and theta.get("Z") is None
-        assert len(theta) == 1
-
     def test_fresh_wildcards_have_distinct_ids(self):
         assert anon() != anon()
         assert isinstance(anon(), Anonymous)
@@ -306,9 +289,9 @@ class TestMatch:
             ),
         )
         theta = match(pattern, node)
-        assert theta == Substitution(
-            {"N": Atom("a"), "V": Str("v"), "M": Compound("=", (Atom("m"), Str("w"))), "C": child}
-        )
+        assert theta == {
+            "N": Atom("a"), "V": Str("v"), "M": Compound("=", (Atom("m"), Str("w"))), "C": child
+        }
         assert theta["C"] is child
 
     def test_variables_bind_attribute_list_and_children(self):
@@ -339,7 +322,7 @@ class TestMatch:
 
     def test_node_in_pattern_meets_its_term(self):
         node = element("a", [("k", "v")], [text("t")])
-        assert match(Seq((node,)), Seq((node_to_term(node),))) == Substitution()
+        assert match(Seq((node,)), Seq((node_to_term(node),))) == {}
         assert match(node, element("a", [("k", "v")], [text("u")])) is None
 
     def test_agrees_with_unify_on_ground_data(self):
@@ -393,22 +376,20 @@ def random_output_case(rng):
         elif roll < keep + (1 - keep) * 0.8:
             # A free variable, or one bound earlier: a chain, but never a cycle.
             bindings[name] = Var(rng.choice(("Free", *bindings)))
-    return term, Substitution(bindings)
+    return term, bindings
 
 
 class TestTermToNodeUnderSubstitution:
     def test_resolves_variables_in_every_position(self):
-        theta = Substitution(
-            {
-                "N": Atom("row"),
-                "A": Seq((Compound("=", (Atom("k"), Str("v"))),)),
-                "K": Atom("j"),
-                "V": Str("w"),
-                "C": Seq((text("c"),)),
-                "T": Str("t"),
-                "X": element("x"),
-            }
-        )
+        theta = {
+            "N": Atom("row"),
+            "A": Seq((Compound("=", (Atom("k"), Str("v"))),)),
+            "K": Atom("j"),
+            "V": Str("w"),
+            "C": Seq((text("c"),)),
+            "T": Str("t"),
+            "X": element("x"),
+        }
         term = Compound(
             "element",
             (
@@ -423,7 +404,7 @@ class TestTermToNodeUnderSubstitution:
                 ),
             ),
         )
-        bound = Substitution({**theta, "P": Compound("=", (Atom("p"), Str("q")))})
+        bound = {**theta, "P": Compound("=", (Atom("p"), Str("q")))}
         assert term_to_node(term, bound) == element(
             "row",
             [("p", "q"), ("j", "w")],
@@ -459,7 +440,7 @@ class TestTermToNodeUnderSubstitution:
         assert str(err.value) == "text content must be a string: text(t)"
 
     def test_unbound_and_shape_errors_name_the_substituted_term(self):
-        theta = Substitution({"X": Str("s"), "Y": Var("U")})
+        theta = {"X": Str("s"), "Y": Var("U")}
         with pytest.raises(UnboundOutputError) as err:
             term_to_node(Compound("text", (Var("Y"),)), theta)
         assert err.value.variable == "U"

@@ -2,15 +2,9 @@ import random
 
 import pytest
 
-from ltlx import (
-    ParseError,
-    comment,
-    element,
-    parse,
-    pi,
-    serialize,
-    text,
-)
+from ltlx import element, parse, serialize, text
+from ltlx.errors import ParseError
+from ltlx.nodes import comment, pi
 
 from conftest import random_document
 
