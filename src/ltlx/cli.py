@@ -20,8 +20,7 @@ from .nodes import canonicalize, Element
 from .queryops import ALL_SOLUTIONS, FIRST_ONLY, eval_path
 from .relalg import eval_expr, relations_from_facts
 from .rules import parse_path_text, parse_rules
-from .terms import Term
-from .xmlio import parse, serialize
+from .xmlio import XML_DECLARATION, parse, serialize
 
 SENTINEL_ENV = "LTL_SENTINELS"
 
@@ -91,10 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_output: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="input file, or - for stdin")
-        if with_output:
-            p.add_argument("-o", "--output", help="output file (default stdout)")
+        p.add_argument("-o", "--output", help="output file (default stdout)")
         p.add_argument(
             "--xml-declaration",
             action="store_true",
@@ -233,7 +231,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
             nodes = (Element(args.wrap_root, (), nodes),)
         text = "".join(serialize(n) for n in nodes)
         if args.xml_declaration:
-            text = '<?xml version="1.0" encoding="UTF-8"?>' + text
+            text = XML_DECLARATION + text
         _emit(text + "\n", args.output, stdout)
         return EXIT_OK if result.well_formed else EXIT_NOT_WELL_FORMED
 
@@ -267,19 +265,11 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         ruleset = parse_rules(_read(args.relations))
         relations = relations_from_facts(ruleset.facts)
         relation = eval_expr(args.expr, relations)
-        rows = sorted(
-            ",".join(_scalar_text(v) for v in row) for row in relation.tuples
-        )
+        rows = sorted(",".join(map(repr, row)) for row in relation.tuples)
         stdout.write("".join(row + "\n" for row in rows))
         return EXIT_OK
 
     raise LtlxError(f"unknown command {args.command!r}")  # pragma: no cover
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, Term):
-        return repr(value)
-    return str(value)
 
 
 def main() -> None:

@@ -12,10 +12,11 @@ text (including Greek letters) never collides with them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DecodeError, SentinelCollisionError
-from .nodes import Attribute, Comment, Element, Node, PI, Text
+from .nodes import Attribute, Comment, Element, Node, PI, Text, document_order
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,10 @@ def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
 
 def is_core(node: Node) -> bool:
     """True when the subtree contains only element and text variants."""
-    if isinstance(node, Text):
-        return True
-    if isinstance(node, Element):
-        return not node.attributes and all(is_core(c) for c in node.children)
-    return False
+    return all(
+        isinstance(n, Text) or (isinstance(n, Element) and not n.attributes)
+        for n in document_order(node)
+    )
 
 
 def split_sentinel_text(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
@@ -151,25 +151,17 @@ def split_sentinel_text(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) 
     textual form: plain text that immediately followed a marked node has
     been absorbed into it and stays there.
     """
-    if isinstance(node, Element):
+    parts = re.compile(f"(?s).[^{re.escape(''.join(config.marks))}]*").findall
+
+    def split(node: Node) -> Node:
+        if not isinstance(node, Element):
+            return node
         children: list[Node] = []
         for child in node.children:
             if isinstance(child, Text):
-                children.extend(Text(part) for part in _split(child.content, config))
+                children.extend(Text(part) for part in parts(child.content) or [""])
             else:
-                children.append(split_sentinel_text(child, config))
+                children.append(split(child))
         return Element(node.name, node.attributes, tuple(children))
-    return node
 
-
-def _split(content: str, config: SentinelConfig) -> list[str]:
-    if not content:
-        return [content]
-    cuts = [i for i, ch in enumerate(content) if ch in config.marks and i > 0]
-    parts = []
-    begin = 0
-    for cut in cuts:
-        parts.append(content[begin:cut])
-        begin = cut
-    parts.append(content[begin:])
-    return parts
+    return split(node)

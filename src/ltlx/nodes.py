@@ -3,7 +3,8 @@
 A document is a tree of four node variants: elements (with named
 attributes and an ordered hedge of children), text, processing
 instructions, and comments.  Values are frozen after construction and
-compare structurally, so they can be shared freely.
+compare structurally at any depth (an element's hash looks one level
+deep), so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Attribute:
         return f"{self.name}={quoted(self.value)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
     name: str
     attributes: tuple[Attribute, ...] = ()
@@ -43,6 +44,13 @@ class Element:
             raise ValueError("element name must be non-empty")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "children", tuple(self.children))
+
+    def __eq__(self, other: object) -> bool:
+        return node_equal(self, other) if isinstance(other, Element) else NotImplemented
+
+    def __hash__(self) -> int:
+        # Equal elements agree one level deep, so this is consistent with ==.
+        return hash((self.name, self.attributes, len(self.children)))
 
     def __repr__(self) -> str:
         attrs = ",".join(repr(a) for a in self.attributes)

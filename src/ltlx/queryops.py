@@ -16,7 +16,7 @@ from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import BadIndexPathError, TypeMismatchError
-from .nodes import Comment, Element, Node, PI, Text, document_order, quoted
+from .nodes import Comment, Element, Node, PI, Text, document_order, node_equal, quoted
 
 IndexPath = tuple[int, ...]
 Result = Union[Node, str, int, IndexPath]
@@ -302,17 +302,23 @@ def follow_index_path(root: Node, path: Iterable[int]) -> Node:
 
 def lvl(root: Node, target: Node) -> Iterator[IndexPath]:
     """Every index path leading from `root` to a node equal to `target`,
-    in document order of the occurrences; [] when the root itself matches."""
+    in document order of the occurrences; [] when the root itself matches.
+    One walk on an explicit stack, building an index path only for a match."""
     _require_element(root, "lvl")
-    yield from _lvl(root, target, ())
-
-
-def _lvl(node: Node, target: Node, prefix: IndexPath) -> Iterator[IndexPath]:
-    if node == target:
-        yield prefix
-    if isinstance(node, Element):
-        for i, child in enumerate(node.children, start=1):
-            yield from _lvl(child, target, prefix + (i,))
+    path = [0]  # path[-1] counts the nodes taken so far from stack[-1]
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            path.pop()
+            continue
+        path[-1] += 1
+        if node_equal(node, target):
+            yield tuple(path[1:])
+        if isinstance(node, Element):
+            stack.append(iter(node.children))
+            path.append(0)
 
 
 @dataclass(frozen=True)

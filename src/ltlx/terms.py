@@ -7,10 +7,12 @@ the head does.  Variables bind to the node objects themselves, and
 `term_to_node` builds an output straight from the bindings, so the
 output a rule builds shares the subtrees it bound instead of copying
 them.  General unification is left for `=` goals, whose two sides may
-both hold variables.  Bindings are a plain dict from variable names to
-terms: `match` and `unify` return one, or None when there is none.  The
-engine keeps a rule's bindings in one triangular dict, which `_match`
-and `_unify` extend in place and `term_to_node` reads through.
+both hold variables.  A node is ground, so `_unify` hands any node it
+meets to `match`, and a node is read one way only.  Bindings are a plain
+dict from variable names to terms: `match` and `unify` return one, or
+None when there is none.  The engine keeps a rule's bindings in one
+triangular dict, which `_match` and `_unify` extend in place and
+`term_to_node` reads through.
 """
 
 from __future__ import annotations
@@ -161,18 +163,6 @@ def _attribute_term(attr: Attribute) -> Compound:
     return Compound("=", (Atom(attr.name), Str(attr.value)))
 
 
-def _view(node: Node) -> Compound:
-    """A node one level deep as its element/text/pi/comment compound.
-
-    The children of an element stay node objects, so a pattern only looks
-    as deep into a document as it is itself deep.
-    """
-    if isinstance(node, Element):
-        attrs = tuple(map(_attribute_term, node.attributes))
-        return Compound("element", (Atom(node.name), Seq(attrs), Seq(node.children)))
-    return Compound(_LEAF_NAMES[type(node)], (Str(node.content),))
-
-
 def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
     a = _walk(a, bindings)
     b = _walk(b, bindings)
@@ -190,12 +180,10 @@ def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
             return False
         bindings[b.name] = a
         return True
+    if isinstance(b, _NODES):
+        return _match(a, b, bindings)  # a node is ground, so matching is exact
     if isinstance(a, _NODES):
-        if isinstance(b, _NODES):
-            return node_equal(a, b)
-        a = _view(a)
-    elif isinstance(b, _NODES):
-        b = _view(b)
+        return _match(b, a, bindings)
     if isinstance(a, Atom) and isinstance(b, Atom):
         return a.text == b.text
     if isinstance(a, Str) and isinstance(b, Str):
@@ -228,11 +216,13 @@ def unify(a: Term, b: Term) -> dict[str, Term] | None:
     Runs with the occurs check on, so unify(X, f(X)) fails.  Sequences
     unify element-wise and only at equal length; there is no splicing of
     partial hedges.  Wildcard occurrences match anything and leave no
-    binding in the result.  Two nodes unify when they are equal; a node
-    meeting a pattern unifies as its element/text/pi/comment compound,
-    and variables bind to the node objects themselves.  The bindings are
-    in solved form: no bound variable occurs in any bound term, so
-    apply_subst needs to apply them only once.
+    binding in the result.  A node is ground, so any node it meets is
+    handed to match with the other side as the pattern: two nodes unify
+    when they are equal, a node meeting a pattern unifies as its
+    element/text/pi/comment compound, and variables bind to the node
+    objects themselves.  The bindings are in solved form: no bound
+    variable occurs in any bound term, so apply_subst needs to apply them
+    only once.
     """
     bindings: dict[str, Term] = {}
     if not _unify(a, b, bindings):
@@ -250,7 +240,7 @@ def match(pattern: Term, ground: Term) -> dict[str, Term] | None:
     meets; a later occurrence must meet an equal value.  `_` matches
     anything.  An element is tested by its name, attribute count and
     child count directly; its name="value" attribute terms are built only
-    for a variable that binds the attribute list or one attribute.
+    when the pattern writes or binds the attribute list, not for `_`.
     Succeeds exactly when unify(pattern, ground) does, with the same
     bindings.
     """
@@ -308,7 +298,7 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
         return ground_kind is Int and p.value == g.value
     if ground_kind in _LEAF_NAMES or ground_kind is Element:
         return node_equal(p, g)
-    return _match(_view(p), g, bindings)  # a node in the pattern meets a term
+    return ground_kind is Compound and _match(g, p, bindings)  # a node meets a term, both ground
 
 
 def _match_all(
@@ -332,22 +322,10 @@ def _match_attributes(
     p: Term, attributes: tuple[Attribute, ...], bindings: dict[str, Term]
 ) -> bool:
     if type(p) is Seq:
-        if len(p.items) != len(attributes):
-            return False
-        for item, attr in zip(p.items, attributes):
-            if type(item) is Compound and item.functor == "=" and len(item.args) == 2:
-                name, value = item.args
-                if not (
-                    _match(name, Atom(attr.name), bindings)
-                    and _match(value, Str(attr.value), bindings)
-                ):
-                    return False
-            elif type(item) is Var:
-                if not _match(item, _attribute_term(attr), bindings):
-                    return False
-            elif type(item) is not Anonymous:
-                return False
-        return True
+        return len(p.items) == len(attributes) and all(
+            _match(item, _attribute_term(attr), bindings)
+            for item, attr in zip(p.items, attributes)
+        )
     if type(p) is Var:
         return _match(p, Seq(tuple(map(_attribute_term, attributes))), bindings)
     return type(p) is Anonymous

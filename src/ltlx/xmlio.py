@@ -15,7 +15,9 @@ import xml.parsers.expat as _expat
 from .errors import ParseDiagnostic, ParseError
 from .nodes import Attribute, Comment, Element, Node, PI, Text
 
-__all__ = ["ParseDiagnostic", "ParseError", "parse", "serialize"]
+__all__ = ["ParseDiagnostic", "ParseError", "XML_DECLARATION", "parse", "serialize"]
+
+XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
 def parse(xml_text: str | bytes) -> Element:
@@ -112,7 +114,7 @@ def serialize(node: Node, xml_declaration: bool = False) -> str:
     """
     parts: list[str] = []
     if xml_declaration:
-        parts.append('<?xml version="1.0" encoding="UTF-8"?>')
+        parts.append(XML_DECLARATION)
     _write(node, parts)
     return "".join(parts)
 

@@ -52,6 +52,11 @@ class TestCanon:
         assert code == EXIT_ERROR
         assert "duplicate" in err
 
+    def test_xml_declaration_flag(self, xml_file):
+        code, out, _ = invoke("canon", "--xml-declaration", xml_file('<a z="1" b="2"/>'))
+        assert code == EXIT_OK
+        assert out == '<?xml version="1.0" encoding="UTF-8"?><a b="2" z="1"/>\n'
+
     def test_encoding_declaration_is_honoured(self, tmp_path):
         path = tmp_path / "latin1.xml"
         source = '<?xml version="1.0" encoding="ISO-8859-1"?>\n<doc z="é" a="ü">café</doc>'
@@ -119,6 +124,22 @@ class TestQuery:
     def test_node_results_serialized(self, xml_file):
         code, out, _ = invoke("query", "-p", "//p", xml_file(self.DOC))
         assert out == "<p>hello</p>\n<p>world</p>\n"
+
+    def test_xml_declaration_prefixes_each_node_result_only(self, xml_file):
+        path = xml_file(self.DOC)
+        code, out, _ = invoke("query", "-p", "//p", "--xml-declaration", path)
+        assert code == EXIT_OK
+        declaration = '<?xml version="1.0" encoding="UTF-8"?>'
+        assert out == f"{declaration}<p>hello</p>\n{declaration}<p>world</p>\n"
+        _, out, _ = invoke("query", "-p", "//p#", "--xml-declaration", path)
+        assert out == "hello\nworld\n"
+
+    def test_no_coerce_text_makes_text_step_fail_on_elements(self, xml_file):
+        path = xml_file(self.DOC)
+        code, out, _ = invoke("query", "-p", "//p#", "--no-coerce-text", path)
+        assert (code, out) == (EXIT_OK, "")
+        code, out, _ = invoke("query", "-p", "//p child#", "--no-coerce-text", path)
+        assert (code, out) == (EXIT_OK, "hello\nworld\n")
 
     def test_count_result(self, xml_file):
         code, out, _ = invoke("query", "-p", "count", xml_file(self.DOC))
@@ -190,6 +211,41 @@ class TestTransform:
         assert first == "x\n"
         _, every, _ = invoke("transform", "-r", str(rules), "--all-solutions", doc)
         assert every == "xy\n"
+
+    def test_xml_declaration_prefixes_the_output(self):
+        code, out, _ = invoke(
+            "transform",
+            "-r",
+            str(SAMPLES / "item_list" / "rules.ltl"),
+            "--xml-declaration",
+            str(SAMPLES / "item_list" / "input.xml"),
+        )
+        assert code == EXIT_OK
+        assert out == '<?xml version="1.0" encoding="UTF-8"?><ul><li>one</li><li>two</li></ul>\n'
+
+    def test_no_coerce_text_binds_element_results(self, xml_file, tmp_path):
+        rules = tmp_path / "coerce.ltl"
+        rules.write_text(
+            "template(element(d,_,[A]),[element(node,[],[T])]):-\n"
+            "   transform(A//p,T),T=element(_,_,_).\n"
+            "template(element(d,_,[A]),[text(T)]):-transform(A//p,T).\n"
+        )
+        doc = xml_file("<d><k><p>x</p></k></d>")
+        assert invoke("transform", "-r", str(rules), doc)[:2] == (EXIT_NOT_WELL_FORMED, "x\n")
+        assert invoke("transform", "-r", str(rules), "--no-coerce-text", doc)[:2] == (
+            EXIT_OK,
+            "<node><p>x</p></node>\n",
+        )
+
+    def test_default_copy_text_copies_unmatched_text(self, xml_file, tmp_path):
+        rules = tmp_path / "em.ltl"
+        rules.write_text("template(element(em,_,_),[element(x,[],[])]).")
+        doc = xml_file("<doc>a<em>b</em>c</doc>")
+        assert invoke("transform", "-r", str(rules), doc)[:2] == (EXIT_OK, "<x/>\n")
+        assert invoke("transform", "-r", str(rules), "--default-copy-text", doc)[:2] == (
+            EXIT_NOT_WELL_FORMED,
+            "a<x/>c\n",
+        )
 
     def test_rule_load_error_exits_1(self, xml_file, tmp_path):
         bad = tmp_path / "bad.ltl"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ltlx import decode_core, element, encode_core, text
 from ltlx.encoding import DEFAULT_SENTINELS, SentinelConfig, is_core
@@ -134,6 +135,13 @@ class TestProperties:
         assert decode_core(encode_core(tricky)) == tricky
         assert isinstance(decode_core(encode_core(tricky)), Element)
 
+    def test_is_core_walks_a_100000_deep_chain(self):
+        chain = text("x")
+        for _ in range(100_000):
+            chain = element("a", [], [chain])
+        assert is_core(chain)
+        assert not is_core(element("r", [], [chain, pi("p")]))
+
     def test_empty_text_round_trips(self):
         doc = element("a", [("k", "")], [pi(""), comment(""), text("")])
         assert decode_core(encode_core(doc)) == doc
@@ -180,3 +188,32 @@ class TestSplitSentinelText:
             emitted = serialize(encode_core(doc))
             recovered = decode_core(split_sentinel_text(parse(emitted)))
             assert recovered == doc
+
+    # Marks that are special inside a regular-expression character class, among any others.
+    MARKS = st.lists(
+        st.sampled_from("]^-\\[" + PI_MARK + COMMENT_MARK) | st.characters(),
+        min_size=3,
+        max_size=3,
+        unique=True,
+    )
+    CASES = MARKS.flatmap(
+        lambda marks: st.tuples(
+            st.just(marks), st.text(st.sampled_from(marks) | st.sampled_from("ab]^-\\\n"))
+        )
+    )
+
+    @given(case=CASES)
+    @example(case=("]^-", "a]b^^-c-"))
+    @example(case=("\\-^", "\\]x-\\"))
+    @example(case=("]^-", ""))
+    def test_parts_start_at_marks_and_join_back(self, case):
+        from ltlx import split_sentinel_text
+
+        marks, content = case
+        split = split_sentinel_text(element("a", [], [text(content)]), SentinelConfig(*marks))
+        parts = [child.content for child in split.children]
+        assert "".join(parts) == content
+        assert all(part[:1] in marks for part in parts[1:])
+        assert not any(mark in part[1:] for part in parts for mark in marks)
+        if not content:
+            assert parts == [""]

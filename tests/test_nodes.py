@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -95,6 +96,38 @@ class TestNodeEqual:
     def test_variant_mismatch(self):
         assert not node_equal(text("x"), comment("x"))
         assert not node_equal(pi("x"), text("x"))
+
+    def test_element_equality_is_node_equal_and_hash_looks_one_level_deep(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            a = random_document(rng)
+            for b in (random_document(rng), copy.deepcopy(a)):
+                assert (a == b) is node_equal(a, b)
+                assert a != b or hash(a) == hash(b)
+        left = element("a", [("k", "v")], [text("x")])
+        right = element("a", [("k", "v")], [text("y")])
+        assert left != right and hash(left) == hash(right)
+        assert element("a") != text("a") and element("a") != "a"
+
+
+def chain(depth, leaf):
+    """`depth` nested <a> elements over one text leaf."""
+    node = text(leaf)
+    for _ in range(depth):
+        node = element("a", [], [node])
+    return node
+
+
+class TestDeepEquality:
+    def test_equal_distinct_100000_deep_chains_compare_and_hash(self):
+        left, right = chain(100_000, "x"), chain(100_000, "x")
+        assert left is not right
+        assert left == right and not left != right
+        assert hash(left) == hash(right)
+        assert len({left, right}) == 1
+
+    def test_100000_deep_chains_differing_at_the_leaf(self):
+        assert chain(100_000, "x") != chain(100_000, "y")
 
 
 class TestDocumentOrder:

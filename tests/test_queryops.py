@@ -262,6 +262,14 @@ class TestDeepChain:
         assert len(found) == depth + 1
         assert found[0] is chain and found[-1].children == ()
 
+    def test_lvl_finds_the_leaf_of_a_10000_deep_chain(self):
+        depth = 10_000
+        chain = text("x")
+        for _ in range(depth):
+            chain = element("a", [], [chain])
+        assert list(lvl(chain, text("x"))) == [(1,) * depth]
+        assert list(lvl(chain, element("b"))) == []
+
 
 def enumerate_index_paths(node, prefix=()):
     """All (index path, node) pairs of a document, pre-order."""
