@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DecodeError, SentinelCollisionError
-from .nodes import Attribute, Comment, Element, Node, PI, Text, document_order
+from .nodes import Attribute, Comment, Element, Node, PI, Text, document_order, rebuild
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ class SentinelConfig:
 DEFAULT_SENTINELS = SentinelConfig()
 
 
-def _check_clean(content: str, config: SentinelConfig, location: str) -> None:
-    for mark in config.marks:
-        if mark in content:
-            raise SentinelCollisionError(mark, location)
-
-
 def encode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     """Rewrite `node` into an equivalent document of elements and text only.
 
@@ -55,43 +50,46 @@ def encode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     text(comment_mark + t), and every attribute name="v" becomes a child
     element(name, [], [text(attr_mark + v)]) inserted before the original
     children, in attribute order.  Raises SentinelCollisionError if any
-    text or attribute value already contains a sentinel.
+    text or attribute value already contains a sentinel.  Runs on an
+    explicit stack through `rebuild`.
     """
-    return _encode(node, config, "/")
+    pi_mark, comment_mark, attr_mark = config.marks
+    clashes = re.compile(f"[{re.escape(''.join(config.marks))}]").search
+
+    def leaf(n: Node) -> Node:
+        if clashes(n.content):
+            _raise_first_collision(node, config)
+        return n if type(n) is Text else Text((pi_mark if type(n) is PI else comment_mark) + n.content)
+
+    def element(e: Element, children: Sequence[Node]) -> Node:
+        if not e.attributes:
+            return e if children is e.children else Element(e.name, (), tuple(children))
+        if any(clashes(a.value) for a in e.attributes):
+            _raise_first_collision(node, config)
+        wrapped = (Element(a.name, (), (Text(attr_mark + a.value),)) for a in e.attributes)
+        return Element(e.name, (), (*wrapped, *children))
+
+    return rebuild(node, element, leaf)
 
 
-def _encode(node: Node, config: SentinelConfig, location: str) -> Node:
-    if isinstance(node, Text):
-        _check_clean(node.content, config, f"text at {location}")
-        return node
-    if isinstance(node, PI):
-        _check_clean(node.content, config, f"pi at {location}")
-        return Text(config.pi_mark + node.content)
-    if isinstance(node, Comment):
-        _check_clean(node.content, config, f"comment at {location}")
-        return Text(config.comment_mark + node.content)
-    wrapped = []
-    for attr in node.attributes:
-        _check_clean(attr.value, config, f"attribute {attr.name} at {location}")
-        wrapped.append(Element(attr.name, (), (Text(config.attr_mark + attr.value),)))
-    encoded = [
-        _encode(child, config, f"{location}{node.name}[{i + 1}]/")
-        for i, child in enumerate(node.children)
-    ]
-    return Element(node.name, (), tuple(wrapped) + tuple(encoded))
-
-
-def _as_attribute_wrapper(node: Node, config: SentinelConfig) -> tuple[str, str] | None:
-    """Return (name, value) when `node` is an encoded attribute, else None."""
-    if (
-        isinstance(node, Element)
-        and not node.attributes
-        and len(node.children) == 1
-        and isinstance(node.children[0], Text)
-        and node.children[0].content.startswith(config.attr_mark)
-    ):
-        return node.name, node.children[0].content[1:]
-    return None
+def _raise_first_collision(root: Node, config: SentinelConfig) -> None:
+    """Raise SentinelCollisionError for the first sentinel in document order,
+    an element's attributes before its children.  `steps` is the path to the
+    node at hand, so only the location reported is spelled out."""
+    steps: list[str] = []
+    stack = [(root, 0, "")]
+    while stack:
+        node, depth, step = stack.pop()
+        steps[depth:] = [step]
+        if isinstance(node, Element):
+            found = [(a.value, f"attribute {a.name}") for a in node.attributes]
+            children = reversed(tuple(enumerate(node.children, 1)))
+            stack.extend((child, depth + 1, f"{node.name}[{i}]/") for i, child in children)
+        else:
+            found = [(node.content, type(node).__name__.lower())]
+        for content, what in found:
+            for mark in (m for m in config.marks if m in content):
+                raise SentinelCollisionError(mark, f"{what} at /{''.join(steps)}")
 
 
 def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
@@ -99,37 +97,38 @@ def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
 
     Only defined on images of encode_core; anything else (raw attributes,
     surviving pi/comment variants, stray attribute-marked text, attribute
-    wrappers positioned after real children) raises DecodeError.
+    wrappers positioned after real children) raises DecodeError.  Runs on
+    an explicit stack through `rebuild`, so of several faults the first
+    one closed in post-order is reported.
     """
-    if isinstance(node, Text):
-        content = node.content
-        if content.startswith(config.pi_mark):
-            return PI(content[1:])
-        if content.startswith(config.comment_mark):
-            return Comment(content[1:])
-        if content.startswith(config.attr_mark):
-            raise DecodeError("attribute-marked text outside an attribute wrapper")
-        return node
-    if not isinstance(node, Element):
-        raise DecodeError(f"{type(node).__name__.lower()} node cannot appear in an encoded document")
-    if node.attributes:
-        raise DecodeError(f"element {node.name!r} still carries raw attributes")
-    attrs: list[Attribute] = []
-    rest = list(node.children)
-    while rest:
-        pair = _as_attribute_wrapper(rest[0], config)
-        if pair is None:
-            break
-        attrs.append(Attribute(*pair))
-        rest.pop(0)
-    children = []
-    for child in rest:
-        if _as_attribute_wrapper(child, config) is not None:
-            raise DecodeError(
-                f"attribute wrapper after real children of element {node.name!r}"
-            )
-        children.append(decode_core(child, config))
-    return Element(node.name, tuple(attrs), tuple(children))
+    decoded = {config.pi_mark: PI, config.comment_mark: Comment}
+
+    def marked(n: object) -> bool:
+        return type(n) is Text and n.content.startswith(config.attr_mark)
+
+    def leaf(n: Node) -> Node:
+        if type(n) is not Text:
+            raise DecodeError(f"{type(n).__name__.lower()} node cannot appear in an encoded document")
+        kind = decoded.get(n.content[:1])
+        return kind(n.content[1:]) if kind else n  # attribute-marked text is read by its parent
+
+    def element(e: Element, children: Sequence[Node | Attribute]) -> Node | Attribute:
+        if e.attributes:
+            raise DecodeError(f"element {e.name!r} still carries raw attributes")
+        if len(children) == 1 and marked(children[0]):
+            return Attribute(e.name, children[0].content[1:])  # a wrapper, read by its parent
+        n = next((i for i, child in enumerate(children) if type(child) is not Attribute), len(children))
+        for child in children[n:]:
+            if type(child) is Attribute:
+                raise DecodeError(f"attribute wrapper after real children of element {e.name!r}")
+            if marked(child):
+                raise DecodeError("attribute-marked text outside an attribute wrapper")
+        return e if children is e.children else Element(e.name, tuple(children[:n]), tuple(children[n:]))
+
+    result = rebuild(node, element, leaf)
+    if type(result) is Attribute or marked(result):
+        raise DecodeError("attribute-marked text outside an attribute wrapper")
+    return result
 
 
 def is_core(node: Node) -> bool:
@@ -149,19 +148,20 @@ def split_sentinel_text(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) 
     merged run necessarily started its own marked node, so splitting
     there restores the encoding.  One case is unrecoverable from the
     textual form: plain text that immediately followed a marked node has
-    been absorbed into it and stays there.
+    been absorbed into it and stays there.  Runs on an explicit stack
+    through `rebuild`.
     """
     parts = re.compile(f"(?s).[^{re.escape(''.join(config.marks))}]*").findall
 
-    def split(node: Node) -> Node:
-        if not isinstance(node, Element):
-            return node
-        children: list[Node] = []
-        for child in node.children:
-            if isinstance(child, Text):
-                children.extend(Text(part) for part in parts(child.content) or [""])
+    def element(e: Element, children: Sequence[Node]) -> Node:
+        split: list[Node] = []
+        for child in children:
+            if type(child) is Text and len(texts := parts(child.content)) > 1:
+                split.extend(map(Text, texts))
             else:
-                children.append(split(child))
-        return Element(node.name, node.attributes, tuple(children))
+                split.append(child)
+        if children is e.children and len(split) == len(children):
+            return e
+        return Element(e.name, e.attributes, tuple(split))
 
-    return split(node)
+    return rebuild(node, element)

@@ -10,7 +10,8 @@ deep), so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from operator import is_
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateAttributeError
 
@@ -53,9 +54,19 @@ class Element:
         return hash((self.name, self.attributes, len(self.children)))
 
     def __repr__(self) -> str:
-        attrs = ",".join(repr(a) for a in self.attributes)
-        kids = ",".join(repr(c) for c in self.children)
-        return f"element({self.name},[{attrs}],[{kids}])"
+        """The rule-syntax term, written by a loop that stacks each closing "])"."""
+        parts: list[str] = []
+        stack: list[Node | str] = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is not Element:
+                parts.append(node if type(node) is str else repr(node))
+                continue
+            parts.append(f"element({node.name},[{','.join(map(repr, node.attributes))}],[")
+            stack.append("])")
+            for i, child in enumerate(reversed(node.children)):
+                stack.extend((",", child) if i else (child,))
+        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -98,37 +109,60 @@ def element(
     return Element(name, attrs, tuple(children))
 
 
-def text(content: str) -> Text:
-    return Text(content)
+# The leaf constructors under their rule-syntax names.
+text, pi, comment = Text, PI, Comment
 
 
-def pi(content: str) -> PI:
-    return PI(content)
+def rebuild(
+    node: Node,
+    element: Callable[[Element, Sequence[Node]], Node],
+    leaf: Callable[[Node], Node] | None = None,
+) -> Node:
+    """Rebuild the tree rooted at `node` bottom-up, on an explicit stack.
 
-
-def comment(content: str) -> Comment:
-    return Comment(content)
+    `leaf(n)` rebuilds each non-element (the identity when omitted), in
+    document order.  `element(e, children)` rebuilds each element once
+    `children` holds what its children rebuilt to; that is `e.children`
+    itself when every child rebuilt to itself, so `e` can be returned.
+    Returns what `node` rebuilds to.  Any depth works.
+    """
+    if type(node) is not Element:
+        return leaf(node) if leaf else node
+    stack = [(node, iter(node.children), [])]
+    while True:
+        e, pending, done = stack[-1]
+        for child in pending:
+            if type(child) is Element:
+                stack.append((child, iter(child.children), []))
+                break
+            done.append(leaf(child) if leaf else child)
+        else:
+            stack.pop()
+            result = element(e, e.children if all(map(is_, done, e.children)) else done)
+            if not stack:
+                return result
+            stack[-1][2].append(result)
 
 
 def canonicalize(node: Node) -> Node:
-    """Sort every element's attributes ascending by name, recursively.
+    """Sort every element's attributes ascending by name, at every depth.
 
     Comparison is by Unicode code point; child order is untouched and the
     operation is idempotent.  An element carrying two attributes with the
     same name has no canonical form and raises DuplicateAttributeError.
+    Runs on an explicit stack through `rebuild`.
     """
-    if not isinstance(node, Element):
-        return node
-    seen: set[str] = set()
-    for attr in node.attributes:
-        if attr.name in seen:
-            raise DuplicateAttributeError(node.name, attr.name)
-        seen.add(attr.name)
-    return Element(
-        node.name,
-        tuple(sorted(node.attributes, key=lambda a: a.name)),
-        tuple(canonicalize(c) for c in node.children),
-    )
+    return rebuild(node, _sort_attributes)
+
+
+def _sort_attributes(e: Element, children: Sequence[Node]) -> Element:
+    names = [a.name for a in e.attributes]
+    if len(set(names)) < len(names):
+        raise DuplicateAttributeError(e.name, next(n for i, n in enumerate(names) if n in names[:i]))
+    attributes = tuple(sorted(e.attributes, key=lambda a: a.name))
+    if children is e.children and attributes == e.attributes:
+        return e
+    return Element(e.name, attributes, tuple(children))
 
 
 def node_equal(a: Node, b: Node) -> bool:

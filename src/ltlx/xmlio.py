@@ -110,30 +110,26 @@ def serialize(node: Node, xml_declaration: bool = False) -> str:
 
     Empty elements collapse to <n/>, attributes are double-quoted in
     stored order, and special characters are escaped so that reparsing
-    the output reproduces the node exactly.
+    the output reproduces the node exactly.  A loop writes the tree,
+    stacking each element's closing tag, so any depth works.
     """
-    parts: list[str] = []
-    if xml_declaration:
-        parts.append(XML_DECLARATION)
-    _write(node, parts)
+    parts = [XML_DECLARATION] if xml_declaration else []
+    stack: list[Node | str] = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif type(node) is Text:
+            parts.append(_escape(node.content, _TEXT_ESCAPES))
+        elif type(node) is PI:
+            parts.append(f"<?{node.content}?>")
+        elif type(node) is Comment:
+            parts.append(f"<!--{node.content}-->")
+        else:
+            parts.append(f"<{node.name}")
+            for attr in node.attributes:
+                parts.append(f' {attr.name}="{_escape(attr.value, _ATTR_ESCAPES)}"')
+            parts.append(">" if node.children else "/>")
+            if node.children:
+                stack += (f"</{node.name}>", *reversed(node.children))
     return "".join(parts)
-
-
-def _write(node: Node, parts: list[str]) -> None:
-    if isinstance(node, Text):
-        parts.append(_escape(node.content, _TEXT_ESCAPES))
-    elif isinstance(node, PI):
-        parts.append(f"<?{node.content}?>")
-    elif isinstance(node, Comment):
-        parts.append(f"<!--{node.content}-->")
-    else:
-        parts.append(f"<{node.name}")
-        for attr in node.attributes:
-            parts.append(f' {attr.name}="{_escape(attr.value, _ATTR_ESCAPES)}"')
-        if not node.children:
-            parts.append("/>")
-            return
-        parts.append(">")
-        for child in node.children:
-            _write(child, parts)
-        parts.append(f"</{node.name}>")

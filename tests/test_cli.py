@@ -353,6 +353,26 @@ def run_process(*argv, **env):
     return proc.returncode, proc.stderr.decode("utf-8", "replace")
 
 
+class TestDeepInput:
+    """Only the engine still recurses; the other subcommands take any depth."""
+
+    def test_100000_level_chain_through_canon_encode_decode_and_query(self, tmp_path):
+        depth = 100_000
+        doc = tmp_path / "chain.xml"
+        doc.write_text("<a>" * depth + "x" + "</a>" * depth, encoding="utf-8")
+        canon, encoded, decoded = (tmp_path / f"{name}.xml" for name in ("canon", "enc", "dec"))
+        for argv in (
+            ("canon", str(doc), "-o", str(canon)),
+            ("encode", str(doc), "-o", str(encoded)),
+            ("decode", str(encoded), "-o", str(decoded)),
+            ("query", "-p", "//a#1 count", str(doc), "-o", str(tmp_path / "count.txt")),
+        ):
+            code, err = run_process(*argv)
+            assert code == EXIT_OK and "Traceback" not in err, (argv, err)
+        assert decoded.read_bytes() == canon.read_bytes() == doc.read_bytes() + b"\n"
+        assert (tmp_path / "count.txt").read_text(encoding="utf-8") == "1\n"
+
+
 class TestNoTraceback:
     """Failures the program does not report itself still end in one diagnostic line."""
 
