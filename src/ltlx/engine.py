@@ -1,10 +1,15 @@
 """Executes rule sets over documents.
 
-Traversal visits the document pre-order.  At each node, rules are tried
-in source order; the first rule whose head matches the node and
-whose goals succeed emits its instantiated output hedge, and the node's
-subtree is not descended any further (the red cut — recursion happens
-only through explicit template goals).  When no rule fires on an
+Each rule runs as code compiled from it once per rule set (see
+`compiler`): a head matcher, an output builder, and an index that offers
+a node only the rules whose heads can match it, in source order.  Goals
+stay interpreted: `=` goals unify, and the results of transform and
+template/2 goals are matched by `_match`.
+
+Traversal visits the document pre-order.  At each node, the first rule
+whose head matches and whose goals succeed emits its output hedge, and
+the node's subtree is not descended any further (the red cut; recursion
+happens only through explicit template goals).  When no rule fires on an
 element, its children are visited and their outputs concatenated; an
 unmatched non-element node emits nothing.  Matching then continues with
 the siblings of the matched node.
@@ -27,7 +32,7 @@ from typing import Iterator
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from .nodes import Element, Hedge, Node, Text
 from .queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, _coerced_text, eval_path
-from .rules import ApplyTemplates, Goal, Not, Rule, RuleSet, Transform, Unify
+from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify
 from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, is_ground, term_to_node
 
 
@@ -119,23 +124,19 @@ def solve_goals(
         raise TypeError(f"unknown goal {goal!r}")
 
 
-def _instantiate_output(rule: Rule, theta: dict[str, Term]) -> Iterator[Node]:
-    for template in rule.output:
-        try:
-            yield term_to_node(template, theta)
-        except UnboundOutputError as exc:
-            raise UnboundOutputError(exc.variable, rule.label) from None
-
-
 def _emit(rs: RuleSet, node: Node, root: Node) -> Iterator[Node]:
-    for rule in rs.rules:
-        theta: dict[str, Term] = {}
-        if not _match(rule.head, node, theta):
+    for rule, match, build in rs.rules_for(node):
+        theta = match(node)
+        if theta is None:
             continue
         fired = False
-        for solution in solve_goals(rs, rule.goals, theta, root):
+        for solution in solve_goals(rs, rule.goals, theta, root) if rule.goals else (theta,):
             fired = True
-            yield from _instantiate_output(rule, solution)
+            try:
+                hedge = build(solution)
+            except UnboundOutputError as exc:
+                raise UnboundOutputError(exc.variable, rule.label) from None
+            yield from hedge
         if fired:
             return
     if isinstance(node, Element):

@@ -155,11 +155,16 @@ def canonicalize(node: Node) -> Node:
     return rebuild(node, _sort_attributes)
 
 
-def _sort_attributes(e: Element, children: Sequence[Node]) -> Element:
-    names = [a.name for a in e.attributes]
+def unique_attributes(element: str, attributes: tuple[Attribute, ...]) -> tuple[Attribute, ...]:
+    """`attributes` unchanged, or DuplicateAttributeError naming the first repeated name."""
+    names = [a.name for a in attributes]
     if len(set(names)) < len(names):
-        raise DuplicateAttributeError(e.name, next(n for i, n in enumerate(names) if n in names[:i]))
-    attributes = tuple(sorted(e.attributes, key=lambda a: a.name))
+        raise DuplicateAttributeError(element, next(n for i, n in enumerate(names) if n in names[:i]))
+    return attributes
+
+
+def _sort_attributes(e: Element, children: Sequence[Node]) -> Element:
+    attributes = tuple(sorted(unique_attributes(e.name, e.attributes), key=lambda a: a.name))
     if children is e.children and attributes == e.attributes:
         return e
     return Element(e.name, attributes, tuple(children))

@@ -41,10 +41,11 @@ arguments; they feed the relational algebra.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 from .errors import ParseDiagnostic, ParseError, RuleLoadError
+from .nodes import Element, Node
 from .queryops import (
     AttrNameByValue,
     AttrValue,
@@ -127,6 +128,7 @@ class RuleSet:
 
     Matching tries rules in order; `solution_mode` picks between
     committing to the first goal solution and enumerating all of them.
+    The rules are compiled on the first transform (see `rules_for`).
     """
 
     rules: tuple[Rule, ...] = ()
@@ -134,9 +136,25 @@ class RuleSet:
     solution_mode: str = FIRST_ONLY
     coerce_text: bool = True
     default_copy_text: bool = False
+    # [(rules, compiled index)], made by rules_for on first use.
+    # with_options copies share this list, and so the compiled code.
+    _compiled: list = field(default_factory=list, compare=False, repr=False)
 
     def with_options(self, **options) -> "RuleSet":
         return replace(self, **options)
+
+    def rules_for(self, node: Node) -> tuple:
+        """The compiled rules whose heads can match `node`, in source order,
+        as (rule, head matcher, output builder) triples."""
+        rules, index = self._compiled[0] if self._compiled else (None, None)
+        if rules is not self.rules:
+            from .compiler import index_rules  # loaded by the first transform only
+
+            index = index_rules(self.rules)
+            self._compiled[:] = [(self.rules, index)]
+        if type(node) is Element:
+            return index.get(node.name) or index[Element]
+        return index.get(type(node)) or index[None]
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -405,6 +423,28 @@ def _check_bindings(rule: Rule, goals: tuple[Goal, ...], bound: set[str]) -> set
     return bound
 
 
+def _check_output_attributes(rule: Rule) -> None:
+    """An output element may not write one attribute name twice."""
+    stack = list(reversed(rule.output))
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Compound):
+            if term.functor == "element" and len(term.args) == 3 and isinstance(term.args[1], Seq):
+                names = [
+                    item.args[0].text
+                    for item in term.args[1].items
+                    if isinstance(item, Compound) and item.functor == "=" and len(item.args) == 2
+                    and isinstance(item.args[0], Atom)
+                ]
+                for name in [n for i, n in enumerate(names) if n in names[:i]][:1]:
+                    raise RuleLoadError(
+                        f"{rule.label}: output element {term.args[0]!r} writes attribute {name} twice"
+                    )
+            stack.extend(reversed(term.args))
+        elif isinstance(term, Seq):
+            stack.extend(reversed(term.items))
+
+
 def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
     name_tok = cur.expect("atom")
     if name_tok.value == "template":
@@ -431,6 +471,7 @@ def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
                 raise RuleLoadError(
                     f"{rule.label}: output variable {var} is never bound"
                 )
+        _check_output_attributes(rule)
         rules.append(rule)
         return
     cur.expect("punct", "(")
@@ -447,9 +488,10 @@ def parse_rules(source_text: str) -> RuleSet:
     """Parse rule-file text into a RuleSet, in source order.
 
     Raises ParseError with a 1-based position on syntax errors, and
-    RuleLoadError when an output variable can never be bound, or when a
+    RuleLoadError when an output variable can never be bound, when a
     transform start or template/2 node variable is not bound by the
-    rule's head or an earlier goal.
+    rule's head or an earlier goal, or when an output element writes one
+    attribute name twice.
     """
     cur = _Cursor(tokenize(source_text))
     rules: list[Rule] = []

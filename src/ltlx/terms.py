@@ -1,18 +1,19 @@
 """Pattern terms, matching, and most-general unification.
 
-Template heads are terms with variables; document nodes are ground terms.
-Matching a head against a node is one-sided: the node has no variables,
-so `match` needs no occurs check and looks into the node only as deep as
-the head does.  Variables bind to the node objects themselves, and
-`term_to_node` builds an output straight from the bindings, so the
-output a rule builds shares the subtrees it bound instead of copying
-them.  General unification is left for `=` goals, whose two sides may
-both hold variables.  A node is ground, so `_unify` hands any node it
-meets to `match`, and a node is read one way only.  Bindings are a plain
-dict from variable names to terms: `match` and `unify` return one, or
-None when there is none.  The engine keeps a rule's bindings in one
-triangular dict, which `_match` and `_unify` extend in place and
-`term_to_node` reads through.
+Template heads are terms with variables.  Document nodes, and the
+attributes they carry, are ground terms, read as their element, text,
+pi or comment compound and as name="value".  Matching a head against a
+node is one-sided, so `match` needs no occurs check and looks into the
+node only as deep as the head does.  Variables bind to the node objects
+themselves, and an attribute-list variable to the element's own
+attributes, so an output shares what it bound instead of copying it.
+General unification is left for `=` goals; `_unify` hands any node or
+attribute it meets to `match`.  Bindings are a plain dict from variable
+names to terms, triangular in the engine: `_match` and `_unify` extend
+one in place, and `term_to_node` follows chains of bound variables.  The
+engine runs rule heads and outputs as code compiled from them (see
+`compiler`); goals, and the parts of a rule the compiler does not
+specialise, come here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
-from .nodes import Attribute, Comment, Element, Node, PI, Text, node_equal, quoted
+from .nodes import Attribute, Comment, Element, Node, PI, Text, quoted, unique_attributes
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,10 @@ class Seq:
         return "[" + ",".join(repr(i) for i in self.items) + "]"
 
 
-Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node]
+Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node, Attribute]
 
 _NODES = (Element, Text, PI, Comment)
+_GROUND = (*_NODES, Attribute)
 _LEAF_FUNCTORS = {"text": Text, "pi": PI, "comment": Comment}
 _LEAF_NAMES = {leaf: name for name, leaf in _LEAF_FUNCTORS.items()}
 
@@ -158,11 +160,6 @@ def _occurs(name: str, term: Term, bindings: dict[str, Term]) -> bool:
     return False
 
 
-def _attribute_term(attr: Attribute) -> Compound:
-    """An attribute as the term name="value"."""
-    return Compound("=", (Atom(attr.name), Str(attr.value)))
-
-
 def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
     a = _walk(a, bindings)
     b = _walk(b, bindings)
@@ -180,9 +177,9 @@ def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
             return False
         bindings[b.name] = a
         return True
-    if isinstance(b, _NODES):
+    if isinstance(b, _GROUND):
         return _match(a, b, bindings)  # a node is ground, so matching is exact
-    if isinstance(a, _NODES):
+    if isinstance(a, _GROUND):
         return _match(b, a, bindings)
     if isinstance(a, Atom) and isinstance(b, Atom):
         return a.text == b.text
@@ -219,10 +216,10 @@ def unify(a: Term, b: Term) -> dict[str, Term] | None:
     binding in the result.  A node is ground, so any node it meets is
     handed to match with the other side as the pattern: two nodes unify
     when they are equal, a node meeting a pattern unifies as its
-    element/text/pi/comment compound, and variables bind to the node
-    objects themselves.  The bindings are in solved form: no bound
-    variable occurs in any bound term, so apply_subst needs to apply them
-    only once.
+    element/text/pi/comment compound (an attribute as name="value"), and
+    variables bind to the node objects themselves.  The bindings are in
+    solved form: no bound variable occurs in any bound term, so
+    apply_subst needs to apply them only once.
     """
     bindings: dict[str, Term] = {}
     if not _unify(a, b, bindings):
@@ -239,10 +236,9 @@ def match(pattern: Term, ground: Term) -> dict[str, Term] | None:
     follow.  A variable's first occurrence binds it to the value it
     meets; a later occurrence must meet an equal value.  `_` matches
     anything.  An element is tested by its name, attribute count and
-    child count directly; its name="value" attribute terms are built only
-    when the pattern writes or binds the attribute list, not for `_`.
-    Succeeds exactly when unify(pattern, ground) does, with the same
-    bindings.
+    child count directly, and an attribute-list variable binds the
+    element's own attributes.  Succeeds exactly when unify(pattern,
+    ground) does, with the same bindings.
     """
     bindings: dict[str, Term] = {}
     return bindings if _match(pattern, ground, bindings) else None
@@ -269,8 +265,15 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
                     return False
             elif not _match(name, Atom(g.name), bindings):
                 return False
-            return _match_attributes(attrs, g.attributes, bindings) and _match_hedge(
+            return _match_seq(attrs, g.attributes, bindings) and _match_seq(
                 children, g.children, bindings
+            )
+        if ground_kind is Attribute:
+            return (
+                p.functor == "="
+                and len(p.args) == 2
+                and _match(p.args[0], Atom(g.name), bindings)
+                and _match(p.args[1], Str(g.value), bindings)
             )
         leaf = _LEAF_NAMES.get(ground_kind)
         if leaf is not None:
@@ -296,8 +299,8 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
         return ground_kind is kind and p.text == g.text
     if kind is Int:
         return ground_kind is Int and p.value == g.value
-    if ground_kind in _LEAF_NAMES or ground_kind is Element:
-        return node_equal(p, g)
+    if ground_kind in _GROUND:
+        return p == g
     return ground_kind is Compound and _match(g, p, bindings)  # a node meets a term, both ground
 
 
@@ -310,24 +313,12 @@ def _match_all(
     return True
 
 
-def _match_hedge(p: Term, children: tuple[Node, ...], bindings: dict[str, Term]) -> bool:
+def _match_seq(p: Term, values: tuple[Term, ...], bindings: dict[str, Term]) -> bool:
+    """Match an element's attribute or child pattern against its own tuple."""
     if type(p) is Seq:
-        return len(p.items) == len(children) and _match_all(p.items, children, bindings)
+        return len(p.items) == len(values) and _match_all(p.items, values, bindings)
     if type(p) is Var:
-        return _match(p, Seq(children), bindings)
-    return type(p) is Anonymous
-
-
-def _match_attributes(
-    p: Term, attributes: tuple[Attribute, ...], bindings: dict[str, Term]
-) -> bool:
-    if type(p) is Seq:
-        return len(p.items) == len(attributes) and all(
-            _match(item, _attribute_term(attr), bindings)
-            for item, attr in zip(p.items, attributes)
-        )
-    if type(p) is Var:
-        return _match(p, Seq(tuple(map(_attribute_term, attributes))), bindings)
+        return _match(p, Seq(values), bindings)
     return type(p) is Anonymous
 
 
@@ -346,7 +337,8 @@ def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
     the resolved term is never built.  Nodes inside the term or its
     bindings are returned as they are, not copied.  Raises
     UnboundOutputError naming a variable that is still free, and
-    ShapeError when the term is not node-shaped.
+    ShapeError when the term is not node-shaped.  An element whose
+    attributes repeat a name raises DuplicateAttributeError.
     """
     return _to_node(term, _NO_BINDINGS if theta is None else theta)
 
@@ -373,7 +365,9 @@ def _to_node(term: Term, theta: Mapping[str, Term]) -> Node:
         name = _bound(args[0], theta)
         if type(name) is not Atom:
             raise ShapeError(f"element name must be an atom: {_resolve(term, theta)!r}")
-        attributes = tuple([_to_attribute(a, theta) for a in _seq_items(args[1], theta, term)])
+        attributes = unique_attributes(
+            name.text, tuple([_to_attribute(a, theta) for a in _seq_items(args[1], theta, term)])
+        )
         children = tuple([_to_node(c, theta) for c in _seq_items(args[2], theta, term)])
         return Element(name.text, attributes, children)
     leaf = _LEAF_FUNCTORS.get(functor)
@@ -396,6 +390,8 @@ def _seq_items(term: Term, theta: Mapping[str, Term], context: Term) -> tuple[Te
 
 def _to_attribute(term: Term, theta: Mapping[str, Term]) -> Attribute:
     term = _bound(term, theta)  # a free variable is reported as unbound, not as a shape
+    if type(term) is Attribute:
+        return term
     if type(term) is Compound and term.functor == "=" and len(term.args) == 2:
         name = _bound(term.args[0], theta)
         value = _bound(term.args[1], theta)

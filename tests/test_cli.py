@@ -403,6 +403,28 @@ class TestNoTraceback:
         )
         self.assert_one_line_error(*run_process("transform", "-r", str(rules), str(doc)))
 
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            (
+                'template(element(a,_,_),[element(b,[k="1",k="2"],[])]).',
+                "rule at line 1: output element b writes attribute k twice",
+            ),
+            (
+                'template(element(a,[K=V],_),[element(b,[k="1",K=V],[])]).',
+                "duplicate attribute 'k' on element 'b'",
+            ),
+        ],
+    )
+    def test_repeated_output_attribute(self, tmp_path, rules, message):
+        path = tmp_path / "dup.ltl"
+        path.write_text(rules, encoding="utf-8")
+        doc = tmp_path / "doc.xml"
+        doc.write_text('<a k="x"/>', encoding="utf-8")
+        code, err = run_process("transform", "-r", str(path), str(doc))
+        self.assert_one_line_error(code, err)
+        assert err == f"ltlx: error: {message}\n"
+
     def test_index_zero_in_a_query(self, tmp_path):
         doc = tmp_path / "doc.xml"
         doc.write_text("<a><p>x</p></a>", encoding="utf-8")

@@ -4,7 +4,13 @@ import pytest
 
 from ltlx import element, parse_path_text, parse_rules, serialize, text, transform_document
 from ltlx.engine import apply_templates, solve_goals
-from ltlx.errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
+from ltlx.errors import (
+    DuplicateAttributeError,
+    InstantiationError,
+    ShapeError,
+    TypeMismatchError,
+    UnboundOutputError,
+)
 from ltlx.nodes import pi
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
 from ltlx.rules import Not, Rule, RuleSet, Transform, Unify
@@ -368,6 +374,22 @@ class TestOutputInstantiation:
         assert apply_templates(rules, element("a", [("k", "v"), ("m", "w")])) == (text("v"),)
         assert apply_templates(rules, element("a", [("k", "v"), ("m", "x")])) == ()
         assert apply_templates(rules, element("a", [("j", "v"), ("m", "w")])) == ()
+
+    def test_attribute_name_repeated_at_build_time(self):
+        rules = parse_rules('template(element(a,[K=V],[]),[element(d,[k="1",K=V],[])]).')
+        assert apply_templates(rules, element("a", [("j", "x")])) == (
+            element("d", [("k", "1"), ("j", "x")]),
+        )
+        with pytest.raises(DuplicateAttributeError) as err:
+            apply_templates(rules, element("a", [("k", "x")]))
+        assert str(err.value) == "duplicate attribute 'k' on element 'd'"
+
+    def test_attribute_list_from_a_goal_is_checked(self):
+        rules = parse_rules(
+            'template(element(a,_,_),[element(d,L,[])]):-L=[k="1",j="2",k="3"].'
+        )
+        with pytest.raises(DuplicateAttributeError, match="'k' on element 'd'"):
+            apply_templates(rules, element("a"))
 
     def test_variable_bound_to_attribute_list_is_copied(self):
         rules = parse_rules("template(element(a,A,_),[element(b,A,[text(\"t\")])]).")

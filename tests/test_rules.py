@@ -184,6 +184,35 @@ class TestBindingAtLoad:
         assert len(rs.rules[0].goals) == 5
 
 
+class TestOutputAttributesAtLoad:
+    """An output element that writes one attribute name twice is refused at load."""
+
+    def load_error(self, text):
+        with pytest.raises(RuleLoadError) as err:
+            parse_rules(text)
+        return str(err.value)
+
+    def test_repeated_literal_name(self):
+        assert self.load_error(
+            'template(text(X),[text(X)]).\n'
+            'template(element(a,_,_),[element(b,[k="1",k="2"],[])]).'
+        ) == "rule at line 2: output element b writes attribute k twice"
+
+    def test_repeat_in_a_nested_output_element_with_a_variable_name(self):
+        assert self.load_error(
+            'template(element(a,_,[text(V)]),\n'
+            '   [text(V),element(c,[],[element(N,[j=V,k="3",j="2"],[])])]):-N=d.'
+        ) == "rule at line 1: output element N writes attribute j twice"
+
+    def test_distinct_or_variable_names_load(self):
+        rs = parse_rules(
+            'template(element(a,[K=V],_),[element(b,[k="1",K=V,j=V],[])]).\n'
+            'template(element(c,A,_),[element(d,A,[]),element(d,[k="1"],[])]):-'
+            'B=element(e,[k="1",k="2"],[]).'
+        )
+        assert len(rs.rules) == 2
+
+
 class TestFacts:
     def test_fact_clauses_collected(self):
         rs = parse_rules('r(1,a).\nr(2,b).\ns("x").\n')

@@ -4,7 +4,7 @@ import pytest
 
 from ltlx import element, text
 from ltlx.errors import ShapeError, UnboundOutputError
-from ltlx.nodes import Element, document_order, pi
+from ltlx.nodes import Attribute, Element, document_order, pi
 from ltlx.terms import (
     Anonymous,
     Atom,
@@ -289,15 +289,15 @@ class TestMatch:
             ),
         )
         theta = match(pattern, node)
-        assert theta == {
-            "N": Atom("a"), "V": Str("v"), "M": Compound("=", (Atom("m"), Str("w"))), "C": child
-        }
+        assert theta == {"N": Atom("a"), "V": Str("v"), "M": Attribute("m", "w"), "C": child}
         assert theta["C"] is child
+        assert theta["M"] is node.attributes[1]  # an attribute is a ground term, bound as it is
 
     def test_variables_bind_attribute_list_and_children(self):
         node = element("a", [("k", "v")], [text("t")])
         theta = match(Compound("element", (Atom("a"), Var("A"), Var("C"))), node)
-        assert theta["A"] == Seq((Compound("=", (Atom("k"), Str("v"))),))
+        assert theta["A"] == Seq((Attribute("k", "v"),))
+        assert theta["A"].items is node.attributes  # the element's own tuple, not a copy
         assert theta["C"] == Seq((text("t"),))
 
     def test_fails_on_name_arity_and_counts(self):
