@@ -13,27 +13,25 @@ text (including Greek letters) never collides with them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DecodeError, SentinelCollisionError
 from .nodes import Attribute, Comment, Element, Node, PI, Text, document_order, rebuild
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SentinelConfig:
+class SentinelConfig(Value):
     """The three marker characters: PI prefix, comment prefix, attribute prefix."""
 
-    pi_mark: str = ""
-    comment_mark: str = ""
-    attr_mark: str = ""
+    __slots__ = ("pi_mark", "comment_mark", "attr_mark")
 
-    def __post_init__(self) -> None:
-        marks = (self.pi_mark, self.comment_mark, self.attr_mark)
+    def __init__(self, pi_mark: str = "", comment_mark: str = "", attr_mark: str = "") -> None:
+        marks = (pi_mark, comment_mark, attr_mark)
         if any(len(m) != 1 for m in marks):
             raise ValueError("sentinels must be single characters")
         if len(set(marks)) != 3:
             raise ValueError("sentinels must be pairwise distinct")
+        super().__init__(*marks)
 
     @property
     def marks(self) -> tuple[str, str, str]:

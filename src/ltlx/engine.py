@@ -25,15 +25,15 @@ alternative on backtracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
-from .nodes import Element, Hedge, Node, Text
+from .nodes import Comment, Element, Hedge, Node, PI, Text
 from .queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, _coerced_text, eval_path
 from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify
-from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, is_ground, term_to_node
+from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, _walk, is_ground, term_to_node
+from .values import Value
 
 
 def _result_to_term(result: Result) -> Term:
@@ -47,6 +47,9 @@ def _result_to_term(result: Result) -> Term:
 
 
 def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
+    term = _walk(term, theta)
+    if isinstance(term, (Element, Text, PI, Comment)):  # as a head variable binds a node
+        return term
     grounded = _resolve(term, theta)
     if not is_ground(grounded):
         raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
@@ -151,12 +154,10 @@ def apply_templates(rs: RuleSet, node: Node) -> Hedge:
     return tuple(_emit(rs, node, node))
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(Value):
     """Output hedge plus whether it forms a well-formed document on its own."""
 
-    nodes: Hedge
-    well_formed: bool
+    __slots__ = ("nodes", "well_formed")
 
     @property
     def root(self) -> Node | None:

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Value):
     """Position and message of a parse failure. Lines and columns are 1-based."""
 
-    line: int
-    column: int
-    message: str
+    __slots__ = ("line", "column", "message")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.message}"

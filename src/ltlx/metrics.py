@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from . import xmlio
 from .nodes import Element, document_order
 from .queryops import PathExpr
 from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify, parse_rules
 from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
+from .values import Value
 
 DIALECT_LTL = "ltl"
 DIALECT_XSLT = "xslt"
@@ -33,22 +33,21 @@ CENSUS_RULE = (
 )
 
 
-@dataclass(frozen=True)
-class TokenCounts:
-    eta1: int  # distinct operators
-    eta2: int  # distinct operands
-    n1_total: int
-    n2_total: int
+class TokenCounts(Value):
+    __slots__ = ("eta1", "eta2", "n1_total", "n2_total")
 
-    def __post_init__(self) -> None:
-        if self.eta1 > self.n1_total or self.eta2 > self.n2_total:
+    def __init__(self, eta1: int, eta2: int, n1_total: int, n2_total: int) -> None:
+        """`eta1` and `eta2` count the distinct operators and operands."""
+        if eta1 > n1_total or eta2 > n2_total:
             raise ValueError("distinct counts cannot exceed totals")
-        if min(self.eta1, self.eta2, self.n1_total, self.n2_total) < 0:
+        if min(eta1, eta2, n1_total, n2_total) < 0:
             raise ValueError("counts must be non-negative")
+        super().__init__(eta1, eta2, n1_total, n2_total)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Value):
+    __slots__ = ("counts", "N", "N_T", "eta", "V", "L", "lam", "delta_N")
+
     counts: TokenCounts
     N: float  # measured program length
     N_T: float  # theoretical length

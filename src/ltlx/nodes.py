@@ -2,18 +2,20 @@
 
 A document is a tree of four node variants: elements (with named
 attributes and an ordered hedge of children), text, processing
-instructions, and comments.  Values are frozen after construction and
-compare structurally at any depth (an element's hash looks one level
-deep), so they can be shared freely.
+instructions, and comments.  Values are frozen after construction: each
+class keeps its fields in `__slots__`, and assigning to one raises
+AttributeError (see `values`).  They compare structurally at any depth
+(an element's hash looks one level deep), so they can be shared freely,
+and copy and pickle as the values they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateAttributeError
+from .values import Value, slot_setters
 
 
 def quoted(text: str) -> str:
@@ -21,37 +23,54 @@ def quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-@dataclass(frozen=True)
-class Attribute:
-    name: str
-    value: str
+class Attribute(Value):
+    __slots__ = ("name", "value")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, value: str) -> None:
+        if not name:
             raise ValueError("attribute name must be non-empty")
+        _set_attribute_name(self, name)
+        _set_attribute_value(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Attribute:
+            return NotImplemented
+        return self.name == other.name and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.value))
+
+    def __reduce__(self):
+        return Attribute, (self.name, self.value)
 
     def __repr__(self) -> str:
         return f"{self.name}={quoted(self.value)}"
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
-    name: str
-    attributes: tuple[Attribute, ...] = ()
-    children: tuple["Node", ...] = ()
+_set_attribute_name, _set_attribute_value = slot_setters(Attribute)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class Element(Value):
+    __slots__ = ("name", "attributes", "children")
+
+    def __init__(
+        self, name: str, attributes: tuple[Attribute, ...] = (), children: tuple[Node, ...] = ()
+    ) -> None:
+        if not name:
             raise ValueError("element name must be non-empty")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "children", tuple(self.children))
+        _set_element_name(self, name)
+        _set_element_attributes(self, attributes if type(attributes) is tuple else tuple(attributes))
+        _set_element_children(self, children if type(children) is tuple else tuple(children))
 
     def __eq__(self, other: object) -> bool:
-        return node_equal(self, other) if isinstance(other, Element) else NotImplemented
+        return node_equal(self, other) if type(other) is Element else NotImplemented
 
     def __hash__(self) -> int:
         # Equal elements agree one level deep, so this is consistent with ==.
         return hash((self.name, self.attributes, len(self.children)))
+
+    def __reduce__(self):
+        return Element, (self.name, self.attributes, self.children)
 
     def __repr__(self) -> str:
         """The rule-syntax term, written by a loop that stacks each closing "])"."""
@@ -69,25 +88,46 @@ class Element:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Text:
-    content: str
+_set_element_name, _set_element_attributes, _set_element_children = slot_setters(Element)
+
+
+class _Leaf(Value):
+    """A text, processing-instruction or comment node: its content string."""
+
+    __slots__ = ("content",)
+
+    def __init__(self, content: str) -> None:
+        _set_content(self, content)
+
+    def __eq__(self, other: object) -> bool:
+        return self.content == other.content if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.content,))
+
+    def __reduce__(self):
+        return type(self), (self.content,)
+
+
+(_set_content,) = slot_setters(_Leaf)
+
+
+class Text(_Leaf):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"text({quoted(self.content)})"
 
 
-@dataclass(frozen=True)
-class PI:
-    content: str
+class PI(_Leaf):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"pi({quoted(self.content)})"
 
 
-@dataclass(frozen=True)
-class Comment:
-    content: str
+class Comment(_Leaf):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"comment({quoted(self.content)})"

@@ -11,12 +11,12 @@ for its children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import BadIndexPathError, TypeMismatchError
 from .nodes import Comment, Element, Node, PI, Text, document_order, node_equal, quoted
+from .values import Value
 
 IndexPath = tuple[int, ...]
 Result = Union[Node, str, int, IndexPath]
@@ -28,7 +28,7 @@ ALL_SOLUTIONS = "all"
 # --- path steps -------------------------------------------------------------
 
 
-class Step:
+class Step(Value):
     """One step of a path expression.
 
     `symbol` is the step's token in path syntax and its operator in the
@@ -40,6 +40,7 @@ class Step:
     incoming stream and has no `apply`.
     """
 
+    __slots__ = ()
     symbol: ClassVar[str]
     yields_values: ClassVar[bool] = False
     operand: ClassVar[str | None] = None
@@ -51,16 +52,12 @@ class Step:
         return self.symbol + (self.operand or "")
 
 
-_step = dataclass(frozen=True, repr=False)
-
-
 def _found(value: Result | None) -> tuple[Result, ...]:
     return () if value is None else (value,)
 
 
-@_step
 class ChildNamed(Step):
-    name: str
+    __slots__ = ("name",)
     symbol = "/"
     operand = property(lambda self: self.name)
 
@@ -68,11 +65,10 @@ class ChildNamed(Step):
         return child_by_name(node, self.name)
 
 
-@_step
 class DescendantOrSelfNamed(Step):
     """Elements named `name` in the subtree including the context; None is the * wildcard."""
 
-    name: str | None
+    __slots__ = ("name",)
     symbol = "//"
     operand = property(lambda self: self.name or "*")
 
@@ -80,9 +76,8 @@ class DescendantOrSelfNamed(Step):
         return descendant_or_self_by_name(node, self.name)
 
 
-@_step
 class AttrValue(Step):
-    name: str
+    __slots__ = ("name",)
     symbol = "@"
     yields_values = True
     operand = property(lambda self: self.name)
@@ -91,9 +86,8 @@ class AttrValue(Step):
         return _found(attr_value(node, self.name))
 
 
-@_step
 class AttrNameByValue(Step):
-    value: str
+    __slots__ = ("value",)
     symbol = "id"
     yields_values = True
     operand = property(lambda self: self.value)
@@ -105,8 +99,8 @@ class AttrNameByValue(Step):
         return f"id({quoted(self.value)})"
 
 
-@_step
 class TextValue(Step):
+    __slots__ = ()
     symbol = "#"
     yields_values = True
 
@@ -114,8 +108,8 @@ class TextValue(Step):
         return _coerced_text(node) if coerce_text else _found(text_value(node))
 
 
-@_step
 class PIValue(Step):
+    __slots__ = ()
     symbol = "?"
     yields_values = True
 
@@ -123,32 +117,32 @@ class PIValue(Step):
         return _found(pi_value(node))
 
 
-@_step
 class Children(Step):
+    __slots__ = ()
     symbol = "child"
 
     def apply(self, node, coerce_text, root):
         return children(node)
 
 
-@_step
 class Descendants(Step):
+    __slots__ = ()
     symbol = "descendant"
 
     def apply(self, node, coerce_text, root):
         return descendants(node)
 
 
-@_step
 class LastChild(Step):
+    __slots__ = ()
     symbol = "last"
 
     def apply(self, node, coerce_text, root):
         return _found(last_child(node))
 
 
-@_step
 class CountChildren(Step):
+    __slots__ = ()
     symbol = "count"
     yields_values = True
 
@@ -156,8 +150,8 @@ class CountChildren(Step):
         return _found(count_children(node))
 
 
-@_step
 class Lvl(Step):
+    __slots__ = ()
     symbol = "lvl"
     yields_values = True
 
@@ -165,21 +159,20 @@ class Lvl(Step):
         return lvl(root, node)
 
 
-@_step
 class Index(Step):
     """Select the k-th item (1-based) of the incoming result stream."""
 
-    k: int
+    __slots__ = ("k",)
     symbol = "#"
     operand = property(lambda self: str(self.k))
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int) -> None:
+        if k < 1:
             raise ValueError("index selector is 1-based")
+        super().__init__(k)
 
 
-@dataclass(frozen=True)
-class PathExpr:
+class PathExpr(Value):
     """A chain of steps; `start` names the variable holding the context node
     (None when the context is implicit, as in CLI queries).
 
@@ -188,18 +181,18 @@ class PathExpr:
     to an equal PathExpr.
     """
 
-    start: str | None
-    steps: tuple[Step, ...]
+    __slots__ = ("start", "steps")
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, start: str | None, steps: tuple[Step, ...]) -> None:
+        steps = tuple(steps)
+        if not steps:
             raise ValueError("path expression needs at least one step")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for before, after in zip(self.steps, self.steps[1:]):
+        for before, after in zip(steps, steps[1:]):
             if before.yields_values and not isinstance(after, Index):
                 raise ValueError(
                     f"step {after!r} cannot follow the value-producing step {before!r}"
                 )
+        super().__init__(start, steps)
 
     def __repr__(self) -> str:
         text = self.start or ""
@@ -303,8 +296,18 @@ def follow_index_path(root: Node, path: Iterable[int]) -> Node:
 def lvl(root: Node, target: Node) -> Iterator[IndexPath]:
     """Every index path leading from `root` to a node equal to `target`,
     in document order of the occurrences; [] when the root itself matches.
-    One walk on an explicit stack, building an index path only for a match."""
+    One walk on an explicit stack, building an index path only for a match.
+
+    An element is compared in full only when its name, attributes, child
+    count and subtree size are the target's.  Subtrees of one size never
+    nest, so those comparisons cover each node at most once and the walk
+    stays linear even when the document and the target share their shape.
+    """
     _require_element(root, "lvl")
+    sizes: dict[int, int] = {}
+    shallow = size = None  # for a leaf target, which no element equals
+    if type(target) is Element:
+        shallow, size = (target.name, target.attributes, len(target.children)), _size(target, sizes)
     path = [0]  # path[-1] counts the nodes taken so far from stack[-1]
     stack = [iter((root,))]
     while stack:
@@ -314,22 +317,45 @@ def lvl(root: Node, target: Node) -> Iterator[IndexPath]:
             path.pop()
             continue
         path[-1] += 1
-        if node_equal(node, target):
-            yield tuple(path[1:])
-        if isinstance(node, Element):
-            stack.append(iter(node.children))
-            path.append(0)
+        if type(node) is not Element:
+            if node_equal(node, target):
+                yield tuple(path[1:])
+            continue
+        if (node.name, node.attributes, len(node.children)) == shallow:
+            if _size(node, sizes) == size and node_equal(node, target):
+                yield tuple(path[1:])
+        stack.append(iter(node.children))
+        path.append(0)
 
 
-@dataclass(frozen=True)
-class Up:
+def _size(node: Element, sizes: dict[int, int]) -> int:
+    """The number of nodes under `node`, itself included.  Fills `sizes`,
+    keyed by id, for every element under it that lacks one; each element
+    is counted once however often it is asked about.  Explicit stack."""
+    stack = [node]
+    while stack:
+        e = stack[-1]
+        if id(e) in sizes:
+            stack.pop()
+            continue
+        missing = [c for c in e.children if type(c) is Element and id(c) not in sizes]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        sizes[id(e)] = 1 + sum(sizes[id(c)] if type(c) is Element else 1 for c in e.children)
+    return sizes[id(node)]
+
+
+class Up(Value):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "up"
 
 
-@dataclass(frozen=True)
-class Down:
-    index: int
+class Down(Value):
+    __slots__ = ("index",)
 
     def __repr__(self) -> str:
         return f"down({self.index})"

@@ -7,29 +7,25 @@ rule files supply atoms, integers, and strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .errors import ArityError, ColumnError, LtlxError
 from .rules import Fact, parse_term_text
 from .terms import Atom, Compound, Int, Seq, Str, Term
+from .values import Value
 
 Scalar = Hashable
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    arity: int
-    tuples: frozenset[tuple[Scalar, ...]]
+class Relation(Value):
+    __slots__ = ("name", "arity", "tuples")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tuples", frozenset(self.tuples))
-        for row in self.tuples:
-            if len(row) != self.arity:
-                raise ArityError(
-                    f"relation {self.name}/{self.arity} got a {len(row)}-tuple"
-                )
+    def __init__(self, name: str, arity: int, tuples: frozenset[tuple[Scalar, ...]]) -> None:
+        tuples = frozenset(tuples)
+        for row in tuples:
+            if len(row) != arity:
+                raise ArityError(f"relation {name}/{arity} got a {len(row)}-tuple")
+        super().__init__(name, arity, tuples)
 
     @classmethod
     def from_rows(

@@ -41,7 +41,6 @@ arguments; they feed the relational algebra.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 from .errors import ParseDiagnostic, ParseError, RuleLoadError
@@ -57,44 +56,38 @@ from .queryops import (
     Step,
 )
 from .terms import Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
+from .values import Value, slot_setters
 
 # Steps written as their bare symbol, such as "?" or "child".
-_BARE_STEPS = {cls.symbol: cls for cls in Step.__subclasses__() if not fields(cls)}
+_BARE_STEPS = {cls.symbol: cls for cls in Step.__subclasses__() if not cls.__slots__}
 
 
 # --- clause model -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unify:
-    lhs: Term
-    rhs: Term
+class Unify(Value):
+    __slots__ = ("lhs", "rhs")
 
     def __repr__(self) -> str:
         return f"{self.lhs!r}={self.rhs!r}"
 
 
-@dataclass(frozen=True)
-class Transform:
-    path: PathExpr
-    result: Term
+class Transform(Value):
+    __slots__ = ("path", "result")
 
     def __repr__(self) -> str:
         return f"transform({self.path!r},{self.result!r})"
 
 
-@dataclass(frozen=True)
-class ApplyTemplates:
-    node: Term
-    result: Term
+class ApplyTemplates(Value):
+    __slots__ = ("node", "result")
 
     def __repr__(self) -> str:
         return f"template({self.node!r},{self.result!r})"
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Goal"
+class Not(Value):
+    __slots__ = ("inner",)
 
     def __repr__(self) -> str:
         return f"not({self.inner!r})"
@@ -103,27 +96,27 @@ class Not:
 Goal = Union[Unify, Transform, ApplyTemplates, Not]
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Term
-    output: tuple[Term, ...]
-    goals: tuple[Goal, ...] = ()
-    line: int = 0
+class Rule(Value):
+    __slots__ = ("head", "output", "goals", "line")
+
+    def __init__(
+        self, head: Term, output: tuple[Term, ...], goals: tuple[Goal, ...] = (), line: int = 0
+    ) -> None:
+        super().__init__(head, output, goals, line)
 
     @property
     def label(self) -> str:
         return f"rule at line {self.line}"
 
 
-@dataclass(frozen=True)
-class Fact:
-    name: str
-    values: tuple[Term, ...]
-    line: int = 0
+class Fact(Value):
+    __slots__ = ("name", "values", "line")
+
+    def __init__(self, name: str, values: tuple[Term, ...], line: int = 0) -> None:
+        super().__init__(name, values, line)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Value):
     """Rules in source order plus execution options.
 
     Matching tries rules in order; `solution_mode` picks between
@@ -131,17 +124,25 @@ class RuleSet:
     The rules are compiled on the first transform (see `rules_for`).
     """
 
-    rules: tuple[Rule, ...] = ()
-    facts: tuple[Fact, ...] = ()
-    solution_mode: str = FIRST_ONLY
-    coerce_text: bool = True
-    default_copy_text: bool = False
-    # [(rules, compiled index)], made by rules_for on first use.
-    # with_options copies share this list, and so the compiled code.
-    _compiled: list = field(default_factory=list, compare=False, repr=False)
+    __slots__ = ("rules", "facts", "solution_mode", "coerce_text", "default_copy_text", "_compiled")
+
+    def __init__(
+        self,
+        rules: tuple[Rule, ...] = (),
+        facts: tuple[Fact, ...] = (),
+        solution_mode: str = FIRST_ONLY,
+        coerce_text: bool = True,
+        default_copy_text: bool = False,
+        _compiled: list | None = None,
+    ) -> None:
+        # _compiled is [(rules, compiled index)], filled by rules_for on first
+        # use; with_options copies share the list, and so the compiled code.
+        compiled = [] if _compiled is None else _compiled
+        super().__init__(rules, facts, solution_mode, coerce_text, default_copy_text, compiled)
 
     def with_options(self, **options) -> "RuleSet":
-        return replace(self, **options)
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return RuleSet(**{**fields, **options})
 
     def rules_for(self, node: Node) -> tuple:
         """The compiled rules whose heads can match `node`, in source order,
@@ -182,12 +183,18 @@ _ERRORS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # atom var int string punct eof
-    value: str
-    line: int
-    col: int
+class _Token(Value):
+    __slots__ = ("kind", "value", "line", "col")  # kind: atom var int string punct eof
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        # One per token: set directly, not through Value's generic __init__.
+        _set_kind(self, kind)
+        _set_value(self, value)
+        _set_line(self, line)
+        _set_col(self, col)
+
+
+_set_kind, _set_value, _set_line, _set_col = slot_setters(_Token)
 
 
 def _fail(line: int, col: int, message: str) -> ParseError:

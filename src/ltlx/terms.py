@@ -19,64 +19,123 @@ specialise, come here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
 from .nodes import Attribute, Comment, Element, Node, PI, Text, quoted, unique_attributes
+from .values import Value, slot_setters
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_var_name(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if type(other) is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Anonymous:
+class Anonymous(Value):
     """One occurrence of the "_" wildcard; every occurrence is distinct."""
 
-    id: int
+    __slots__ = ("id",)
+
+    def __init__(self, id: int) -> None:
+        _set_anonymous_id(self, id)
+
+    def __eq__(self, other: object) -> bool:
+        return self.id == other.id if type(other) is Anonymous else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
+
+    def __reduce__(self):
+        return Anonymous, (self.id,)
 
     def __repr__(self) -> str:
         return "_"
 
 
-@dataclass(frozen=True)
-class Atom:
-    text: str
+class _Text(Value):
+    """An atom or a string: its text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        _set_text(self, text)
+
+    def __eq__(self, other: object) -> bool:
+        return self.text == other.text if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __reduce__(self):
+        return type(self), (self.text,)
+
+
+class Atom(_Text):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class Str:
-    text: str
+class Str(_Text):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return quoted(self.text)
 
 
-@dataclass(frozen=True)
-class Int:
-    value: int
+class Int(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set_int_value(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self.value == other.value if type(other) is Int else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return Int, (self.value,)
 
     def __repr__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Compound:
-    functor: str
-    args: tuple["Term", ...]
+class Compound(Value):
+    __slots__ = ("functor", "args")
 
-    def __post_init__(self) -> None:
-        if not self.functor:
+    def __init__(self, functor: str, args: tuple[Term, ...]) -> None:
+        if not functor:
             raise ValueError("compound functor must be non-empty")
-        object.__setattr__(self, "args", tuple(self.args))
+        _set_functor(self, functor)
+        _set_args(self, args if type(args) is tuple else tuple(args))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Compound:
+            return NotImplemented
+        return self.functor == other.functor and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.functor, self.args))
+
+    def __reduce__(self):
+        return Compound, (self.functor, self.args)
 
     def __repr__(self) -> str:
         if self.functor == "=" and len(self.args) == 2:
@@ -85,17 +144,33 @@ class Compound:
         return f"{self.functor}({inner})"
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Value):
     """A bracketed sequence, modelling hedges and attribute lists."""
 
-    items: tuple["Term", ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        _set_items(self, items if type(items) is tuple else tuple(items))
+
+    def __eq__(self, other: object) -> bool:
+        return self.items == other.items if type(other) is Seq else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
+
+    def __reduce__(self):
+        return Seq, (self.items,)
 
     def __repr__(self) -> str:
         return "[" + ",".join(repr(i) for i in self.items) + "]"
+
+
+(_set_var_name,) = slot_setters(Var)
+(_set_anonymous_id,) = slot_setters(Anonymous)
+(_set_text,) = slot_setters(_Text)
+(_set_int_value,) = slot_setters(Int)
+_set_functor, _set_args = slot_setters(Compound)
+(_set_items,) = slot_setters(Seq)
 
 
 Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node, Attribute]

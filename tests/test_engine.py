@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ltlx import element, parse_path_text, parse_rules, serialize, text, transform_document
+from ltlx import element, parse, parse_path_text, parse_rules, serialize, text, transform_document
+from ltlx import engine
 from ltlx.engine import apply_templates, solve_goals
 from ltlx.errors import (
     DuplicateAttributeError,
@@ -74,6 +75,28 @@ class TestSolveGoals:
         theta = unify(rule.head, node_to_term(element("a")))
         with pytest.raises(InstantiationError):
             list(solve_goals(rs, rule.goals, theta, element("a")))
+
+    def test_a_start_bound_to_a_node_is_not_rebuilt(self, monkeypatch):
+        # The benchmark catalog's guard rule: a bare-variable head whose
+        # transform goals start from the node the head bound.
+        rules = parse_rules(
+            "template(element(header,_,[text(T)]),[element(h1,[],[text(T)])]).\n"
+            "template(X,[element(flagged,[],[text(N)])]):-\n"
+            '   transform(X@flag,F),F="hot",transform(X/name#,N).\n'
+            "template(element(item,_,_),[element(other,[],[])]).\n"
+        )
+        doc = parse(
+            '<catalog><header>T</header><item flag="hot"><name>A</name></item>'
+            '<item flag="cold"><name>B</name></item><item><name>C</name></item></catalog>'
+        )
+        calls = []
+        real = engine.term_to_node
+        monkeypatch.setattr(engine, "term_to_node", lambda *a: calls.append(a) or real(*a))
+        result = transform_document(rules, doc)
+        assert "".join(map(serialize, result.nodes)) == (
+            "<h1>T</h1><flagged>A</flagged><other/><other/>"
+        )
+        assert calls == []
 
     def test_transform_requires_node_start(self):
         rs = parse_rules(

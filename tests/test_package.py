@@ -5,6 +5,7 @@ benchmark's direct calls; every other name is imported from its module.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,20 @@ def test_import_loads_no_front_end_or_fact_layers():
     loaded = set(proc.stdout.split())
     assert "ltlx.engine" in loaded
     assert not loaded & {"ltlx.metrics", "ltlx.relalg", "ltlx.cli"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages hooks out, so only ltlx and what it imports count.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, ltlx.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+    importers = [
+        path.name
+        for path in (ROOT / "src" / "ltlx").rglob("*.py")
+        if re.search(r"^\s*(import|from)\s+dataclasses\b", path.read_text(), re.MULTILINE)
+    ]
+    assert importers == []

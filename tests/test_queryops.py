@@ -270,6 +270,16 @@ class TestDeepChain:
         assert list(lvl(chain, text("x"))) == [(1,) * depth]
         assert list(lvl(chain, element("b"))) == []
 
+    def test_lvl_of_a_100000_deep_chain_in_itself_is_linear(self):
+        # Every node has the target's name and shape; only subtree sizes tell
+        # them apart, so a walk comparing each one in full would be quadratic.
+        depth = 100_000
+        chain = text("x")
+        for _ in range(depth):
+            chain = element("a", [], [chain])
+        assert list(lvl(chain, chain)) == [()]
+        assert list(lvl(chain, chain.children[0].children[0])) == [(1, 1)]
+
 
 def enumerate_index_paths(node, prefix=()):
     """All (index path, node) pairs of a document, pre-order."""
