@@ -2,27 +2,49 @@
 
 `RuleSet.rules_for` calls `index_rules` on a rule set's first transform,
 which compiles each rule and indexes the results; `with_options` copies
-share them.
+share them, and a rule's function reads the solution mode and text
+coercion from the rule set it is called with.
 
-- A head matcher takes a node and returns the head's bindings, or None.
-  Level by level, it first tests what can be read off the node without
-  binding anything: node types, element names, attribute and child
-  counts, literal names and strings.  Then it builds the bindings in one
-  dict.  A variable's first occurrence binds it and a later one is
-  compared by `_match`, as in the interpreter.  A sub-pattern that it
-  does not specialise (an atom among an element's children, say) is
-  handed to `_match` too.
-- An output builder takes the bindings of one solution of the rule's
-  goals and returns the output hedge, built by direct `Element` and
-  `Text` calls that share the bound subtrees.  A variable bound by the
-  head holds what its position there says; one bound by a goal is
-  type-checked first.  When a check fails, or the output has a part the
-  builder does not specialise, `term_to_node` builds the whole hedge
-  instead and raises its errors.
-- The index maps an element name or a leaf type to the rules whose head
-  can match such a node, in source order.  A rule whose head is a
-  variable, or an element with a variable name, is in every bucket it
-  can match.
+Each rule becomes one function, `run(n, rs, R, out)`.  It matches the
+head against node `n`, solves the goals left to right and, for each
+solution, appends the output hedge to `out`; it returns a true value
+exactly when the rule fired.  `R` is the document root the lvl step
+reads index paths against.
+
+- Variables live in Python locals.  A local holds what the binding dict
+  of a Prolog environment would hold under that name, or None while the
+  variable is free; a binding may be a term whose variables are bound in
+  turn (triangular bindings).  A binding dict is built only where a goal
+  is handed to `_unify`, `_match` or `term_to_node`, and what they bind
+  is read back into locals.
+- A pattern that meets a ground value (the head, a template/2 result, or
+  the term an `=` goal compares with a variable bound to a node) is
+  matched in place.  Level by level, it first tests what can be read off
+  the value without binding anything: node types, element names,
+  attribute and child counts, literal names and strings.  Then it binds
+  the new variables.  A repeated variable is compared by `_match`.  A
+  pattern with a part that is not specialised here, or with a variable
+  whose binding may hold free variables, goes to `_match` whole.
+- An `=` goal that binds a fresh variable to a term is an assignment,
+  and one that compares a ground binding with a term that binds nothing
+  is a test; any other goes to `_unify`.
+- A transform goal loops over `_path_values`, which runs the path through
+  `eval_path`, stands an element result for its text children when the
+  rule set coerces text, and stops after the first value in
+  first-solution mode.
+- A template/2 goal is one call back into `engine._emit`.
+- not(g) is a function of its own that says whether g has a solution;
+  so is the rest of a body nested too deep in transform loops.
+- The output is built by direct `Element` and `Text` calls that share
+  the bound subtrees.  A variable bound by a pattern holds what its
+  position there says; any other is type-checked first.  When a check
+  fails, or the output has a part the builder does not specialise,
+  `term_to_node` builds the whole hedge instead and raises its errors.
+
+Errors keep the types and messages of the helpers they come from.  The
+index maps an element name or a leaf type to the rules whose head can
+match such a node, in source order.  A rule whose head is a variable, or
+an element with a variable name, is in every bucket it can match.
 
 Rule text reaches the generated source only as `repr()` literals and as
 constants in the function's namespace; every name in the source is the
@@ -32,32 +54,45 @@ as in `<ltlx rule at line 3>`, so tracebacks and profiles name the rule.
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
+from .engine import _emit
+from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from .nodes import Attribute, Comment, Element, Hedge, Node, PI, Text, unique_attributes
-from .rules import Rule
+from .queryops import ALL_SOLUTIONS, FIRST_ONLY, PathExpr, Result, _coerced_text, eval_path
+from .rules import ApplyTemplates, Goal, Not, Rule, Transform, Unify
 from .terms import (
     _LEAF_FUNCTORS,
     Anonymous,
     Atom,
     Compound,
+    Int,
     Seq,
     Str,
     Term,
     Var,
     _match,
+    _resolve,
+    _unify,
+    _walk,
+    is_ground,
     term_to_node,
     variables_of,
 )
 
-Compiled = tuple[Rule, Callable[[Node], "dict[str, Term] | None"], Callable[[dict], Hedge]]
+Compiled = tuple[Rule, Callable]  # (rule, run)
 
 _NODE_TYPES = frozenset((Element, Text, PI, Comment))
 
+# Transform loops one generated function may nest; a deeper rest of the
+# body continues in a function of its own.  CPython allows 20 nested blocks.
+_MAX_LOOPS = 12
+
 # What a builder needs of a variable at an output position, keyed by that
-# position's kind (the kind a head variable gets from its binding
-# position): how to read the binding, and the test that finds a goal's
-# binding unfit to be read that way.
+# position's kind (the kind a pattern variable gets from its binding
+# position): how to read the binding, and the test that finds a binding
+# of unknown kind unfit to be read that way.
 _NEEDS = {
     "node": ("{}", "type({}) not in NODES"),
     "Atom": ("{}.text", "type({}) is not Atom"),
@@ -72,8 +107,51 @@ def _all(seq: object, types: frozenset) -> bool:
     return type(seq) is Seq and all(type(item) in types for item in seq.items)
 
 
-def _interpret(output: tuple[Term, ...], theta: dict[str, Term]) -> Hedge:
-    return tuple([term_to_node(template, theta) for template in output])
+def _interpret(output: tuple[Term, ...], theta: dict[str, Term], label: str) -> Hedge:
+    try:
+        return tuple([term_to_node(template, theta) for template in output])
+    except UnboundOutputError as exc:
+        raise UnboundOutputError(exc.variable, label) from None
+
+
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
+    """The node that `term` denotes under `theta`, for a transform start or
+    a template/2 node that is not bound to a node outright."""
+    term = _walk(term, theta)
+    if isinstance(term, (Element, Text, PI, Comment)):
+        return term
+    grounded = _resolve(term, theta)
+    if not is_ground(grounded):
+        raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
+    try:
+        return term_to_node(grounded)
+    except ShapeError:
+        raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
+
+
+def _path_values(
+    node: Node, path: PathExpr, coerce: bool, root: Node, first: bool
+) -> Iterator[Result]:
+    """The values a transform goal offers, one per solution: an element
+    result stands for its direct text children when coercion is on."""
+    values = (
+        value
+        for result in eval_path(node, path, ALL_SOLUTIONS, coerce, root)
+        for value in (
+            _coerced_text(result) if coerce and isinstance(result, Element) else (result,)
+        )
+    )
+    return islice(values, 1) if first else values
+
+
+def _result_to_term(result: Result) -> Term:
+    if isinstance(result, str):
+        return Str(result)
+    if isinstance(result, int):
+        return Int(result)
+    if isinstance(result, tuple):
+        return Seq(tuple(Int(k) for k in result))
+    return result
 
 
 def _key(head: Term) -> object:
@@ -106,10 +184,16 @@ def index_rules(rules: tuple[Rule, ...]) -> dict[object, tuple[Compiled, ...]]:
 
 # The names generated code uses, besides a rule's own constants.
 _NAMESPACE = {
-    **{cls.__name__: cls for cls in (Atom, Attribute, Comment, Element, PI, Seq, Str, Text)},
-    **{f.__name__: f for f in (_all, _interpret, _match, unique_attributes)},
+    **{cls.__name__: cls for cls in (Atom, Attribute, Comment, Element, Int, PI, Seq, Str, Text)},
+    **{
+        f.__name__: f
+        for f in (_all, _bound_node, _emit, _interpret, _match, _path_values, _result_to_term)
+        + (_unify, unique_attributes)
+    },
+    "InstantiationError": InstantiationError,
     "ATTRIBUTES": frozenset((Attribute,)),
     "NODES": _NODE_TYPES,
+    "FIRST_ONLY": FIRST_ONLY,
 }
 
 
@@ -118,7 +202,7 @@ class _Source:
 
     def __init__(self, rule: Rule):
         self.count = 0
-        self.namespace = dict(_NAMESPACE, OUTPUT=rule.output)
+        self.namespace = dict(_NAMESPACE, OUTPUT=rule.output, LABEL=rule.label)
 
     def local(self) -> str:
         self.count += 1
@@ -130,40 +214,54 @@ class _Source:
         return f"K{self.count}"
 
 
-class _Head:
-    """The source of one head matcher, gathered by a walk in `_match`'s order."""
+class _Binding:
+    """Where a variable's binding lives while a function runs: its local;
+    whether that is surely not None; whether the binding is ground (holds
+    no variables); and the kind of its binding position, if known."""
 
-    def __init__(self, src: _Source):
+    __slots__ = ("local", "sure", "ground", "kind")
+
+    def __init__(self, local: str, sure: bool, ground: bool, kind: str | None):
+        self.local, self.sure, self.ground, self.kind = local, sure, ground, kind
+
+
+class _Unspecialised(Exception):
+    """A term holds a part that only the interpreted helpers handle."""
+
+
+class _Pattern:
+    """Source that matches a pattern against a ground value as `_match` does,
+    binding its new variables to locals; gathered by a walk in `_match`'s
+    order."""
+
+    def __init__(self, src: _Source, scope: dict[str, _Binding]):
         self.src = src
+        self.scope = scope
         self.guards: list[tuple[int, int, str]] = []  # (level, phase, test)
         self.binds: list[str] = []
         self.checks: list[str] = []
-        self.kinds: dict[str, str | None] = {}  # variable -> kind of its binding position
+        self.bound: dict[str, _Binding] = {}
 
-    def lines(self, head: Term) -> list[str]:
-        self.node(head, "n", 0)
-        lines = ["def match(n):"]
+    def lines(self, fail: str) -> list[str]:
+        lines = []
         if self.guards:
             tests = " and ".join(test for _, _, test in sorted(self.guards, key=lambda g: g[:2]))
-            lines += [f"    if not ({tests}):", "        return None"]
-        binds = f"{{{', '.join(self.binds)}}}"
-        if not self.checks:
-            return lines + [f"    return {binds}"]
-        lines.append(f"    theta = {binds}")
-        lines += [f"    if not {check}:\n        return None" for check in self.checks]
-        return lines + ["    return theta"]
+            lines += [f"if not ({tests}):", f"    {fail}"]
+        lines += self.binds
+        for check in self.checks:
+            lines += [f"if not {check}:", f"    {fail}"]
+        return lines
 
     def var(self, p: Var, kind: str, value: str) -> None:
-        if p.name in self.kinds:
-            self.checks.append(f"_match(theta[{p.name!r}], {value}, theta)")
+        known = self.bound.get(p.name) or self.scope.get(p.name)
+        if known is None:
+            local = self.src.local()
+            self.binds.append(f"{local} = {value}")
+            self.bound[p.name] = _Binding(local, True, True, kind)
+        elif known.sure and known.ground:
+            self.checks.append(f"_match({known.local}, {value}, {{}})")
         else:
-            self.kinds[p.name] = kind
-            self.binds.append(f"{p.name!r}: {value}")
-
-    def fallback(self, p: Term, value: str) -> None:
-        self.checks.append(f"_match({self.src.const(p)}, {value}, theta)")
-        for name in sorted(variables_of(p)):
-            self.kinds.setdefault(name, None)
+            raise _Unspecialised
 
     def node(self, p: Term, value: str, level: int) -> None:
         leaf = _LEAF_FUNCTORS.get(p.functor) if type(p) is Compound and len(p.args) == 1 else None
@@ -180,16 +278,15 @@ class _Head:
         elif type(p) is Var:
             self.var(p, "node", value)
         elif type(p) is not Anonymous:
-            self.fallback(p, value)
+            raise _Unspecialised
 
     def scalar(self, p: Term, value: str, kind: type, level: int) -> None:
-        term = f"{kind.__name__}({value})"
         if type(p) is kind:
             self.guards.append((level, 0, f"{value} == {p.text!r}"))
         elif type(p) is Var:
-            self.var(p, kind.__name__, term)
+            self.var(p, kind.__name__, f"{kind.__name__}({value})")
         elif type(p) is not Anonymous:
-            self.fallback(p, term)
+            raise _Unspecialised
 
     def seq(self, p: Term, value: str, item: Callable, kind: str, level: int) -> None:
         if type(p) is Seq:
@@ -200,7 +297,7 @@ class _Head:
         elif type(p) is Var:
             self.var(p, kind, f"Seq({value})")
         elif type(p) is not Anonymous:
-            self.fallback(p, f"Seq({value})")
+            raise _Unspecialised
 
     def attribute(self, p: Term, value: str, level: int) -> None:
         if type(p) is Compound and p.functor == "=" and len(p.args) == 2:
@@ -209,44 +306,43 @@ class _Head:
         elif type(p) is Var:
             self.var(p, "attr", value)
         elif type(p) is not Anonymous:
-            self.fallback(p, value)
-
-
-class _Unspecialised(Exception):
-    """An output holds a part that only term_to_node builds."""
+            raise _Unspecialised
 
 
 class _Output:
-    """The source of one output builder: statements in term_to_node's order."""
+    """The source that builds one output hedge: statements in term_to_node's order."""
 
-    def __init__(self, src: _Source, kinds: dict[str, str | None]):
+    def __init__(self, src: _Source, scope: dict[str, _Binding]):
         self.src = src
-        self.kinds = kinds
+        self.scope = scope
         self.body: list[str] = []
-        self.loaded: dict[tuple[str, str], str] = {}
+        self.unfit: list[str] = []
 
-    def lines(self, output: tuple[Term, ...]) -> list[str]:
+    def lines(self, output: tuple[Term, ...], deliver: str, env: Callable[[], list[str]]) -> list[str]:
+        """Statements that deliver the hedge (`deliver` formats its expression);
+        `env()` gives the statements that set `env` for `term_to_node`."""
+        fallback = [*env(), deliver.format("_interpret(OUTPUT, env, LABEL)")]
         try:
-            hedge = "".join(f"{self.node(t)}, " for t in output)
+            hedge = "(" + "".join(f"{self.node(t)}, " for t in output) + ")"
         except _Unspecialised:
-            return ["def build(theta):", "    return _interpret(OUTPUT, theta)"]
-        return ["def build(theta):", *self.body, f"    return ({hedge})"]
+            return fallback
+        built = [*self.body, deliver.format(hedge)]
+        if not self.unfit:
+            return built
+        indent = lambda lines: ["    " + line for line in lines]  # noqa: E731
+        return [f"if {' or '.join(self.unfit)}:", *indent(fallback), "else:", *indent(built)]
 
     def load(self, name: str, need: str) -> str:
         """An expression for variable `name`'s binding, read as `need` says."""
-        if (name, need) not in self.loaded:
-            v = self.src.local()
-            read, unfit = _NEEDS[need]
-            if self.kinds.get(name) == need:
-                self.body.append(f"    {v} = theta[{name!r}]")
-            else:
-                self.body += [
-                    f"    {v} = theta.get({name!r})",
-                    f"    if {unfit.format(v)}:",
-                    "        return _interpret(OUTPUT, theta)",
-                ]
-            self.loaded[name, need] = read.format(v)
-        return self.loaded[name, need]
+        known = self.scope.get(name)
+        if known is None:
+            raise _Unspecialised  # a free variable: term_to_node reports it
+        read, unfit = _NEEDS[need]
+        if known.kind != need:
+            test = unfit.format(known.local)
+            if test not in self.unfit:
+                self.unfit.append(test)
+        return read.format(known.local)
 
     def scalar(self, t: Term, kind: type) -> str:
         if type(t) is kind:
@@ -275,14 +371,14 @@ class _Output:
         else:
             raise _Unspecialised
         e = self.src.local()
-        self.body.append(f"    {e} = Element({name}, {attributes}, {kids})")
+        self.body.append(f"{e} = Element({name}, {attributes}, {kids})")
         return e
 
     def attributes(self, t: Term, name: str) -> str:
         """The attribute tuple, checked for a repeated name unless none can repeat."""
         if type(t) is Var:
             attributes = self.load(t.name, "attrs")
-            if self.kinds.get(t.name) == "attrs":
+            if self.scope[t.name].kind == "attrs":
                 return attributes  # one element's own attributes, which the parser kept unique
         elif type(t) is Seq:
             attributes = "(" + "".join(f"{self.attribute(a)}, " for a in t.items) + ")"
@@ -292,7 +388,7 @@ class _Output:
         else:
             raise _Unspecialised
         checked = self.src.local()
-        self.body.append(f"    {checked} = unique_attributes({name}, {attributes})")
+        self.body.append(f"{checked} = unique_attributes({name}, {attributes})")
         return checked
 
     def attribute(self, t: Term) -> str:
@@ -303,9 +399,250 @@ class _Output:
         raise _Unspecialised
 
 
+class _Function:
+    """One generated function: its lines, indentation and open loops."""
+
+    def __init__(self, name: str, params: list[str], no_solution: str):
+        self.name = name
+        self.lines = [f"def {name}({', '.join(params)}):"]
+        self.depth = 1
+        self.loops = 0
+        self.no_solution = no_solution  # what the function returns when it finds none
+
+    def emit(self, *lines: str) -> None:
+        self.lines += ["    " * self.depth + line for line in lines]
+
+    def fail(self) -> str:
+        """The statement that backtracks: to the innermost loop, or out."""
+        return "continue" if self.loops else f"return {self.no_solution}"
+
+
+Scope = dict[str, _Binding]
+
+
+class _Rule:
+    """The generated source of one rule: `run` and the functions it calls."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.src = _Source(rule)
+        self.functions: list[list[str]] = []
+        self.moded = any(self.transforms(rule.goals))  # whether goals read C and FIRST
+
+    def source(self) -> str:
+        fn = _Function("run", ["n", "rs", "R", "out"], "None")
+        scope: Scope = {}
+        self.head(fn, scope)
+        if self.moded:
+            fn.emit("C = rs.coerce_text", "FIRST = rs.solution_mode == FIRST_ONLY")
+        self.goals(fn, self.rule.goals, scope, set(), self.succeed)
+        self.finish(fn, "found")
+        return "\n".join(line for lines in self.functions for line in lines)
+
+    def transforms(self, goals: tuple[Goal, ...]) -> Iterator[Transform]:
+        for goal in goals:
+            if isinstance(goal, Not):
+                yield from self.transforms((goal.inner,))
+            elif isinstance(goal, Transform):
+                yield goal
+
+    def finish(self, fn: _Function, result: str) -> None:
+        if fn.loops:
+            fn.depth = 1
+            fn.emit(f"return {result}")
+        self.functions.append(fn.lines)
+
+    # --- bindings ---
+
+    def head(self, fn: _Function, scope: Scope) -> None:
+        if not self.match(fn, scope, self.rule.head, "n", _Pattern.node):
+            fn.emit("env = {}", f"if not _match({self.src.const(self.rule.head)}, n, env):")
+            fn.emit(f"    {fn.fail()}")
+            self.read_back(fn, scope, variables_of(self.rule.head))
+
+    def match(self, fn: _Function, scope: Scope, pattern: Term, value: str, walk: Callable) -> bool:
+        """Match `pattern` against the ground `value` in place, or say it cannot be."""
+        gathered = _Pattern(self.src, scope)
+        try:
+            walk(gathered, pattern, value, 0)
+        except _Unspecialised:
+            return False
+        fn.emit(*gathered.lines(fn.fail()))
+        scope.update(gathered.bound)
+        return True
+
+    def env(self, scope: Scope, names: set[str]) -> list[str]:
+        """Statements that set `env` to the bindings of `names`."""
+        chosen = [name for name in sorted(scope) if name in names]
+        sure = ", ".join(f"{name!r}: {scope[name].local}" for name in chosen if scope[name].sure)
+        lines = [f"env = {{{sure}}}"]
+        for name in chosen:
+            if not scope[name].sure:
+                local = scope[name].local
+                lines += [f"if {local} is not None:", f"    env[{name!r}] = {local}"]
+        return lines
+
+    def read_back(self, fn: _Function, scope: Scope, names: set[str]) -> None:
+        """Copy what `_unify` or `_match` may have bound in `env` into locals."""
+        for name in sorted(names):
+            if name not in scope or not scope[name].sure:
+                local = self.src.local()
+                fn.emit(f"{local} = env.get({name!r})")
+                scope[name] = _Binding(local, False, False, None)
+
+    def interpreted(self, fn, scope, mentioned, call: str, pattern: Term, value: str) -> None:
+        """`call` (`_match` or `_unify`) on `pattern` and `value` with a binding dict."""
+        names = variables_of(pattern) | mentioned
+        fn.emit(*self.env(scope, names))
+        fn.emit(f"if not {call}({self.src.const(pattern)}, {value}, env):", f"    {fn.fail()}")
+        self.read_back(fn, scope, names)
+
+    # --- goals ---
+
+    def goals(self, fn: _Function, goals: tuple[Goal, ...], scope: Scope, mentioned: set[str], succeed):
+        """Solve `goals` from here, running `succeed` at each solution.
+
+        `scope` holds the bound variables; `mentioned` the variables that
+        a binding may hold, so that a variable outside both is fresh.
+        """
+        for i, goal in enumerate(goals):
+            if isinstance(goal, Transform) and fn.loops >= _MAX_LOOPS:
+                rest = self.segment("more", scope, "None")
+                self.goals(rest, goals[i:], dict(scope), set(mentioned), succeed)
+                self.finish(rest, "found")
+                fn.emit(f"if {self.call(rest, scope)}:", "    found = True")
+                return
+            if isinstance(goal, Unify):
+                self.unify(fn, goal, scope, mentioned)
+            elif isinstance(goal, Transform):
+                if not self.transform(fn, goal, scope, mentioned):
+                    return  # the goal always raises; nothing after it runs
+            elif isinstance(goal, ApplyTemplates):
+                self.template(fn, goal, scope, mentioned)
+            else:
+                inner = self.segment("not", scope, "False")
+                self.goals(inner, (goal.inner,), dict(scope), set(mentioned), _found)
+                self.finish(inner, "False")
+                fn.emit(f"if {self.call(inner, scope)}:", f"    {fn.fail()}")
+        succeed(fn, scope, mentioned)
+
+    def succeed(self, fn: _Function, scope: Scope, mentioned: set[str]) -> None:
+        roots = set().union(*map(variables_of, self.rule.output)) | mentioned
+        output = _Output(self.src, scope)
+        fn.emit(*output.lines(self.rule.output, "out += {}", lambda: self.env(scope, roots)))
+        fn.emit("found = True" if fn.loops else "return True")
+
+    def segment(self, kind: str, scope: Scope, no_solution: str) -> _Function:
+        """A function for part of the body; it takes the current locals."""
+        params = ["rs", "R", "C", "FIRST", "out", *(scope[name].local for name in sorted(scope))]
+        return _Function(f"{kind}{self.src.local()}", params, no_solution)
+
+    def call(self, fn: _Function, scope: Scope) -> str:
+        moded = "C, FIRST" if self.moded else "None, None"
+        locals_ = "".join(f"{scope[name].local}, " for name in sorted(scope))
+        return f"{fn.name}(rs, R, {moded}, out, {locals_})"
+
+    def unify(self, fn: _Function, goal: Unify, scope: Scope, mentioned: set[str]) -> None:
+        for var, other in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
+            if type(var) is Var and var.name not in variables_of(other):
+                if self.unify_var(fn, var, other, scope, mentioned):
+                    return
+        own = variables_of(goal.lhs) | variables_of(goal.rhs)
+        fn.emit(*self.env(scope, own | mentioned))
+        lhs, rhs = self.src.const(goal.lhs), self.src.const(goal.rhs)
+        fn.emit(f"if not _unify({lhs}, {rhs}, env):", f"    {fn.fail()}")
+        self.read_back(fn, scope, own | mentioned)
+        mentioned |= own
+
+    def unify_var(self, fn, var: Var, other: Term, scope: Scope, mentioned: set[str]) -> bool:
+        """Unify `var` with `other`, which does not hold it, in place if that can be."""
+        known = scope.get(var.name)
+        if known is None:
+            if var.name in mentioned or type(other) in (Var, Anonymous):
+                return False
+            # A fresh variable, which no binding holds, takes the term as it is.
+            local = self.src.local()
+            fn.emit(f"{local} = {self.src.const(other)}")
+            scope[var.name] = _Binding(local, True, not variables_of(other), None)
+            mentioned |= variables_of(other)
+            return True
+        if not (known.sure and known.ground):
+            return False
+        if not variables_of(other):  # a test: nothing can be bound
+            fn.emit(f"if not {self.test(known.local, other)}:", f"    {fn.fail()}")
+            return True
+        # A node meets the term as its pattern.
+        return known.kind == "node" and self.match(fn, scope, other, known.local, _Pattern.node)
+
+    def test(self, local: str, term: Term) -> str:
+        """Whether the ground binding in `local` unifies with `term`, which has no variables."""
+        if type(term) in (Atom, Str):
+            return f"(type({local}) is {type(term).__name__} and {local}.text == {term.text!r})"
+        if type(term) is Int:
+            return f"(type({local}) is Int and {local}.value == {term.value!r})"
+        return f"_unify({local}, {self.src.const(term)}, {{}})"
+
+    def node_of(self, fn: _Function, term: Term, scope: Scope, mentioned: set[str], what: str) -> str:
+        """A local holding the node `term` denotes, for a goal that needs one."""
+        known = scope.get(term.name) if type(term) is Var else None
+        if known is not None and known.kind == "node":
+            return known.local
+        node = self.src.local()
+        resolve = self.env(scope, variables_of(term) | mentioned)
+        resolve.append(f"{node} = _bound_node(env, {self.src.const(term)}, {what!r})")
+        if known is not None:  # a binding that may be a node already
+            fn.emit(f"{node} = {known.local}", f"if type({node}) not in NODES:")
+            resolve = ["    " + line for line in resolve]
+        fn.emit(*resolve)
+        return node
+
+    def transform(self, fn: _Function, goal: Transform, scope: Scope, mentioned: set[str]) -> bool:
+        start = goal.path.start
+        if start not in scope:
+            message = f"transform path start {start or '(implicit)'} is unbound"
+            fn.emit(f"raise InstantiationError({message!r})")
+            return False
+        if not scope[start].sure:
+            message = f"transform path start {start} is unbound"
+            fn.emit(f"if {scope[start].local} is None:")
+            fn.emit(f"    raise InstantiationError({message!r})")
+        node = self.node_of(fn, Var(start), scope, mentioned, f"transform path start {start}")
+        value = self.src.local()
+        if not fn.loops:
+            fn.emit("found = False")
+        fn.emit(f"for {value} in _path_values({node}, {self.src.const(goal.path)}, C, R, FIRST):")
+        fn.depth += 1
+        fn.loops += 1
+        result, term = goal.result, f"_result_to_term({value})"
+        known = scope.get(result.name) if type(result) is Var else None
+        if type(result) is Var and known is None:
+            local = self.src.local()
+            fn.emit(f"{local} = {term}")
+            scope[result.name] = _Binding(local, True, True, None)
+        elif type(result) is Var and known.sure and known.ground:
+            fn.emit(f"if not _match({known.local}, {term}, {{}}):", f"    {fn.fail()}")
+        elif type(result) is not Anonymous:
+            self.interpreted(fn, scope, mentioned, "_match", result, term)
+        return True
+
+    def template(self, fn: _Function, goal: ApplyTemplates, scope: Scope, mentioned: set[str]):
+        node = self.node_of(fn, goal.node, scope, mentioned, "template goal node")
+        hedge = self.src.local()
+        fn.emit(f"{hedge} = []", f"_emit(rs, {node}, R, {hedge})")
+        if not self.match(fn, scope, goal.result, hedge, _hedge):
+            self.interpreted(fn, scope, mentioned, "_match", goal.result, f"Seq({hedge})")
+
+
+def _found(fn: _Function, scope: Scope, mentioned: set[str]) -> None:
+    fn.emit("return True")
+
+
+def _hedge(pattern: _Pattern, result: Term, value: str, level: int) -> None:
+    """Walk a template/2 result pattern against the list `value` of output nodes."""
+    pattern.seq(result, value, pattern.node, "hedge", level)
+
+
 def _compile(rule: Rule) -> Compiled:
-    src = _Source(rule)
-    head = _Head(src)
-    lines = head.lines(rule.head) + _Output(src, head.kinds).lines(rule.output)
-    exec(compile("\n".join(lines), f"<ltlx {rule.label}>", "exec"), src.namespace)
-    return rule, src.namespace["match"], src.namespace["build"]
+    generated = _Rule(rule)
+    exec(compile(generated.source(), f"<ltlx {rule.label}>", "exec"), generated.src.namespace)
+    return rule, generated.src.namespace["run"]

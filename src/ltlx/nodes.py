@@ -6,7 +6,7 @@ instructions, and comments.  Values are frozen after construction: each
 class keeps its fields in `__slots__`, and assigning to one raises
 AttributeError (see `values`).  They compare structurally at any depth
 (an element's hash looks one level deep), so they can be shared freely,
-and copy and pickle as the values they are.
+and copy and pickle as the values they are, at any depth.
 """
 
 from __future__ import annotations
@@ -70,7 +70,27 @@ class Element(Value):
         return hash((self.name, self.attributes, len(self.children)))
 
     def __reduce__(self):
-        return Element, (self.name, self.attributes, self.children)
+        # A flat post-order encoding, so that pickle never nests per level.
+        return _unflatten, (_flatten(self),)
+
+    def __copy__(self) -> "Element":
+        return self  # a value: a shallow copy could not differ from it
+
+    def __deepcopy__(self, memo: dict) -> "Element":
+        """Distinct nodes equal to these, rebuilt on `rebuild`'s explicit
+        stack.  A node met twice, here or earlier in the same deep copy,
+        is copied once, as `memo` records."""
+
+        def copied(node: Node, children: Sequence[Node] = ()) -> Node:
+            if id(node) not in memo:
+                memo[id(node)] = (
+                    Element(node.name, node.attributes, tuple(children))
+                    if type(node) is Element
+                    else type(node)(node.content)
+                )
+            return memo[id(node)]
+
+        return rebuild(self, copied, copied)
 
     def __repr__(self) -> str:
         """The rule-syntax term, written by a loop that stacks each closing "])"."""
@@ -135,6 +155,28 @@ class Comment(_Leaf):
 
 Node = Union[Element, Text, PI, Comment]
 Hedge = tuple[Node, ...]
+
+
+def _flatten(node: Element) -> tuple:
+    """The tree in post-order: each leaf as itself, each element as its
+    (name, attributes, child count).  `rebuild` visits them in that order."""
+    items: list = []
+    rebuild(node, lambda e, children: items.append((e.name, e.attributes, len(children))), items.append)
+    return tuple(items)
+
+
+def _unflatten(items: tuple) -> Element:
+    """The tree `_flatten` encoded, rebuilt by one loop."""
+    built: list[Node] = []
+    for item in items:
+        if type(item) is tuple:
+            name, attributes, count = item
+            children = tuple(built[len(built) - count :])
+            del built[len(built) - count :]
+            built.append(Element(name, attributes, children))
+        else:
+            built.append(item)
+    return built[0]
 
 
 def element(

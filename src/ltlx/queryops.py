@@ -5,8 +5,10 @@ count, lvl) are exposed both as standalone functions and as path steps
 that chain into a path expression; each step class holds its syntax,
 census and evaluation (see Step).  Failure of an operator is a normal
 outcome: stream operators yield nothing and scalar operators return
-None.  Errors are reserved for type misuse, such as asking a text node
-for its children.
+None.  So the attribute steps @name and id(v) find nothing on a node
+that is not an element, as the attribute axis of XPath 1.0 does.
+Errors are reserved for type misuse, such as asking a text node for its
+children.
 """
 
 from __future__ import annotations
@@ -229,20 +231,22 @@ def descendant_or_self_by_name(node: Node, name: str | None) -> Iterator[Element
 
 
 def attr_value(node: Node, name: str) -> str | None:
-    """Value of the attribute named `name`; None (failure) when absent."""
-    e = _require_element(node, "@")
-    for attr in e.attributes:
-        if attr.name == name:
-            return attr.value
+    """Value of the attribute named `name`; None (failure) when absent or
+    when `node` is not an element."""
+    if isinstance(node, Element):
+        for attr in node.attributes:
+            if attr.name == name:
+                return attr.value
     return None
 
 
 def attr_name_by_value(node: Node, value: str) -> Iterator[str]:
-    """Names of all attributes whose value equals `value`, in attribute order."""
-    e = _require_element(node, "id")
-    for attr in e.attributes:
-        if attr.value == value:
-            yield attr.name
+    """Names of all attributes whose value equals `value`, in attribute
+    order; none when `node` is not an element."""
+    if isinstance(node, Element):
+        for attr in node.attributes:
+            if attr.value == value:
+                yield attr.name
 
 
 def text_value(node: Node) -> str | None:

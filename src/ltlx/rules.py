@@ -146,7 +146,7 @@ class RuleSet(Value):
 
     def rules_for(self, node: Node) -> tuple:
         """The compiled rules whose heads can match `node`, in source order,
-        as (rule, head matcher, output builder) triples."""
+        as (rule, function) pairs (see `compiler`)."""
         rules, index = self._compiled[0] if self._compiled else (None, None)
         if rules is not self.rules:
             from .compiler import index_rules  # loaded by the first transform only

@@ -11,9 +11,8 @@ General unification is left for `=` goals; `_unify` hands any node or
 attribute it meets to `match`.  Bindings are a plain dict from variable
 names to terms, triangular in the engine: `_match` and `_unify` extend
 one in place, and `term_to_node` follows chains of bound variables.  The
-engine runs rule heads and outputs as code compiled from them (see
-`compiler`); goals, and the parts of a rule the compiler does not
-specialise, come here.
+engine runs each rule as code compiled from it (see `compiler`); the
+parts of a rule the compiler does not specialise come here.
 """
 
 from __future__ import annotations

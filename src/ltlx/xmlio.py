@@ -11,6 +11,7 @@ attribute values) is emitted as a reference.
 from __future__ import annotations
 
 import xml.parsers.expat as _expat
+from typing import Callable
 
 from .errors import ParseDiagnostic, ParseError
 from .nodes import Attribute, Comment, Element, Node, PI, Text
@@ -31,15 +32,17 @@ def parse(xml_text: str | bytes) -> Element:
     or processing instructions are discarded.  Raises ParseError with a
     1-based position for anything that is not well-formed.
     """
-    builder = _TreeBuilder()
+    root: list[Element] = []
     parser = _expat.ParserCreate()
     parser.ordered_attributes = True
     parser.buffer_text = True
-    parser.StartElementHandler = builder.start
-    parser.EndElementHandler = builder.end
-    parser.CharacterDataHandler = builder.data
-    parser.ProcessingInstructionHandler = builder.pi
-    parser.CommentHandler = builder.comment
+    (
+        parser.StartElementHandler,
+        parser.EndElementHandler,
+        parser.CharacterDataHandler,
+        parser.ProcessingInstructionHandler,
+        parser.CommentHandler,
+    ) = _tree_builder(root)
     try:
         parser.Parse(xml_text, True)
     except _expat.ExpatError as exc:
@@ -49,41 +52,42 @@ def parse(xml_text: str | bytes) -> Element:
         raise ParseError(
             ParseDiagnostic(line=exc.lineno, column=exc.offset + 1, message=message)
         ) from None
-    assert builder.root is not None
-    return builder.root
+    return root[0]
 
 
-class _TreeBuilder:
-    """Accumulates expat events into an Element tree."""
+def _tree_builder(root: list[Element]) -> tuple[Callable, ...]:
+    """The five expat handlers that build the tree and append its root
+    element to `root`.  They are closures over the stack of open elements
+    and the children list of the innermost one, so an event costs no
+    attribute lookups; an element without attributes gets ()."""
+    stack: list[tuple[str, tuple[Attribute, ...], list[Node]]] = []
+    push, pop = stack.append, stack.pop
+    children: list[Node] = root  # type: ignore[assignment]
 
-    def __init__(self) -> None:
-        self.root: Element | None = None
-        self._stack: list[tuple[str, tuple[Attribute, ...], list[Node]]] = []
+    def start(name: str, attrs: list[str]) -> None:
+        nonlocal children
+        push((name, tuple(map(Attribute, attrs[::2], attrs[1::2])) if attrs else (), children))
+        children = []
 
-    def start(self, name: str, attrs: list[str]) -> None:
-        pairs = tuple(Attribute(attrs[i], attrs[i + 1]) for i in range(0, len(attrs), 2))
-        self._stack.append((name, pairs, []))
+    def end(name: str) -> None:
+        nonlocal children
+        name, attributes, parent = pop()
+        parent.append(Element(name, attributes, tuple(children)))
+        children = parent
 
-    def end(self, name: str) -> None:
-        name, attrs, children = self._stack.pop()
-        node = Element(name, attrs, tuple(children))
-        if self._stack:
-            self._stack[-1][2].append(node)
-        else:
-            self.root = node
+    def data(content: str) -> None:
+        if stack:
+            children.append(Text(content))
 
-    def data(self, content: str) -> None:
-        if self._stack:
-            self._stack[-1][2].append(Text(content))
+    def pi(target: str, data: str) -> None:
+        if stack:
+            children.append(PI(f"{target} {data}" if data else target))
 
-    def pi(self, target: str, data: str) -> None:
-        if self._stack:
-            content = f"{target} {data}" if data else target
-            self._stack[-1][2].append(PI(content))
+    def comment(data: str) -> None:
+        if stack:
+            children.append(Comment(data))
 
-    def comment(self, data: str) -> None:
-        if self._stack:
-            self._stack[-1][2].append(Comment(data))
+    return start, end, data, pi, comment
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}

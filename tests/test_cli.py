@@ -175,6 +175,13 @@ class TestTransform:
         assert code == EXIT_OK
         assert out == "<ul><li>one</li><li>two</li></ul>\n"
 
+    def test_attribute_guard_skips_text_nodes(self, xml_file, tmp_path):
+        # A variable head meets the text node too; @flag finds nothing there.
+        rules = tmp_path / "guard.ltl"
+        rules.write_text("template(X,[element(f,[],[])]):-transform(X@flag,F).", encoding="utf-8")
+        code, out, err = invoke("transform", "-r", str(rules), xml_file('<doc><a flag="1"/>tail</doc>'))
+        assert (code, out, err) == (EXIT_OK, "<f/>\n", "")
+
     def test_wrap_root_makes_hedge_serializable(self, xml_file):
         code, out, _ = invoke(
             "transform",

@@ -1,9 +1,11 @@
 """Compiled rules against the interpreter they replace.
 
-A compiled head matcher must bind what `terms.match(head, node)` binds,
-or fail where it fails; a compiled output builder must build what
-`term_to_node` builds from the same bindings, or raise the same
-exception with the same message.  Heads are abstracted from random
+A rule's function inlines a head matcher and an output builder; here
+each is generated as a function of its own (`compiled_parts`).  The
+head matcher must bind what `terms.match(head, node)` binds, or fail
+where it fails; the output builder must build what `term_to_node`
+builds from the same bindings, or raise the same exception with the
+same message.  Heads are abstracted from random
 documents (`conftest.abstract`), with repeated variables, `_`,
 attribute-list variables and name=V items, and some get a random term
 grafted in where no node position can take it.  The other tests pin
@@ -21,7 +23,7 @@ import reference_engine
 from conftest import abstract, random_document, random_term, rename, wildcards
 from reference_engine import node_to_term
 from ltlx import parse, parse_rules, serialize
-from ltlx.compiler import _compile
+from ltlx.compiler import _Binding, _Function, _Output, _Rule, _compile
 from ltlx.engine import apply_templates
 from ltlx.errors import LtlxError, ShapeError, UnboundOutputError
 from ltlx.nodes import PI, Attribute, Comment, Element, Text, document_order, element, text
@@ -30,6 +32,30 @@ from ltlx.rules import Rule
 from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, match, term_to_node, variables_of
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def compiled_parts(rule):
+    """The head matcher and the output builder that `rule`'s function
+    inlines, generated by the same code as functions of their own: the
+    matcher returns the head's bindings as a dict, or None, and the
+    builder builds the output from such a dict."""
+    generated = _Rule(rule)
+    generated.src.namespace["LABEL"] = ""  # the builder reports no rule, as term_to_node does
+    match = _Function("match", ["n"], "None")
+    scope = {}
+    generated.head(match, scope)
+    pairs = "".join(f"({name!r}, {b.local}), " for name, b in sorted(scope.items()))
+    match.emit(f"return {{name: v for name, v in ({pairs}) if v is not None}}")
+    build = _Function("build", ["theta"], "None")
+    known = {}
+    for name in sorted(set().union(*map(variables_of, rule.output))):
+        head = scope.get(name)
+        known[name] = _Binding(generated.src.local(), head is not None, head is not None, head and head.kind)
+        build.emit(f"{known[name].local} = theta.get({name!r})")
+    build.emit(*_Output(generated.src, known).lines(rule.output, "return {}", lambda: ["env = theta"]))
+    source = "\n".join(match.lines + build.lines)
+    exec(compile(source, f"<ltlx {rule.label}>", "exec"), generated.src.namespace)
+    return generated.src.namespace["match"], generated.src.namespace["build"]
 
 
 def graft(rng, term):
@@ -71,7 +97,7 @@ def test_compiled_head_binds_what_match_binds(seed):
     rng = random.Random(seed)
     doc = random_document(rng, max_depth=4, max_nodes=30)
     head, source = random_head(rng, doc)
-    matcher = _compile(Rule(head, ()))[1]
+    matcher = compiled_parts(Rule(head, ()))[0]
     for node in document_order(doc):
         assert matcher(node) == match(head, node), (head, node)
 
@@ -81,7 +107,7 @@ def test_most_compiled_heads_match_their_own_node():
     hits = 0
     for _ in range(300):
         head, node = random_head(rng, random_document(rng, max_depth=4, max_nodes=30))
-        theta = _compile(Rule(head, ()))[1](node)
+        theta = compiled_parts(Rule(head, ()))[0](node)
         assert theta == match(head, node)
         hits += theta is not None
     assert hits > 200
@@ -89,7 +115,7 @@ def test_most_compiled_heads_match_their_own_node():
 
 def test_every_repeated_occurrence_is_compared():
     head = parse_rules('template(element(a,[k=V],[X,X,text(V),X]),[]).').rules[0].head
-    matcher = _compile(Rule(head, ()))[1]
+    matcher = compiled_parts(Rule(head, ()))[0]
     b, c = element("b"), element("c")
     for children, hit in (
         ([b, b, text("v"), b], True),
@@ -220,7 +246,7 @@ def random_build(rng):
 def test_compiled_output_builds_what_term_to_node_builds(seed):
     rule, theta = random_build(random.Random(seed))
     expected = outcome(lambda: tuple(term_to_node(t, theta) for t in rule.output))
-    assert outcome(lambda: _compile(rule)[2](theta)) == expected, (rule, theta)
+    assert outcome(lambda: compiled_parts(rule)[1](theta)) == expected, (rule, theta)
 
 
 def test_many_random_outputs_build():
@@ -229,7 +255,7 @@ def test_many_random_outputs_build():
     for _ in range(300):
         rule, theta = random_build(rng)
         try:
-            _compile(rule)[2](theta)
+            compiled_parts(rule)[1](theta)
         except LtlxError:  # ShapeError, UnboundOutputError or DuplicateAttributeError
             continue
         built += 1
@@ -240,7 +266,7 @@ def test_builder_shares_bound_subtrees_and_fails_as_term_to_node_does():
     rule = parse_rules(
         'template(element(a,A,[X]),[element(b,A,[X,Y]),text(T)]):-Y=X,T="t".'
     ).rules[0]
-    build = _compile(rule)[2]
+    build = compiled_parts(rule)[1]
     node = element("a", [("k", "v")], [element("x")])
     theta = match(rule.head, node)
     b, t = build({**theta, "Y": node.children[0], "T": Str("t")})
@@ -292,10 +318,10 @@ def test_generated_functions_are_named_after_their_rule():
         "template(element(a,_,_),[element(b,[],[])]).\n"
         'template(element(c,_,_),[element(d,[],[X])]):-X="s".\n'
     )
-    _, matcher, builder = _compile(rules.rules[1])
-    assert matcher.__code__.co_filename == builder.__code__.co_filename == "<ltlx rule at line 2>"
+    _, run = _compile(rules.rules[1])
+    assert run.__code__.co_filename == "<ltlx rule at line 2>"
     with pytest.raises(ShapeError) as err:
-        builder({"X": Str("s")})
+        run(element("c"), rules, element("c"), [])
     assert "<ltlx rule at line 2>" in [frame.filename for frame in traceback.extract_tb(err.tb)]
 
 
@@ -326,7 +352,7 @@ INDEXED_DOC = (
 
 def test_index_buckets_keep_source_order():
     rs = parse_rules(INDEXED_RULES)
-    lines = lambda node: [rule.line for rule, _, _ in rs.rules_for(node)]  # noqa: E731
+    lines = lambda node: [rule.line for rule, _ in rs.rules_for(node)]  # noqa: E731
     assert lines(element("item")) == [1, 2, 3, 5]
     assert lines(element("nowhere")) == [2, 5]
     assert lines(text("x")) == [2, 4]
@@ -350,4 +376,32 @@ def test_node_of_an_unknown_type_meets_only_variable_heads():
         pass
 
     rs = parse_rules(INDEXED_RULES)
-    assert [rule.line for rule, _, _ in rs.rules_for(Marker("x"))] == [2]
+    assert [rule.line for rule, _ in rs.rules_for(Marker("x"))] == [2]
+
+
+# --- bodies and paths nested deeper than one function holds ------------------
+
+
+def test_long_bodies_paths_and_nested_nots_compile_and_agree_with_the_reference():
+    # 15 transform goals nest past one function's loops, a path has 14
+    # steps, and not/1 nests 31 deep; each agrees with the reference in
+    # both modes.
+    chain = ",".join(f"transform(X//p{'#1' * bool(i)}#,T{i})" for i in range(15))
+    texts = ",".join(f"text(T{i})" for i in (0, 7, 14))
+    steps = "/a" * 13 + "#"
+    nots = "not(" * 31 + "X=element(zz,_,_)" + ")" * 31
+    rules = parse_rules(
+        f"template(X,[element(o,[],[{texts}])]):-X=element(r,_,_),{chain}.\n"
+        f"template(X,[text(T)]):-X=element(s,_,_),transform(X{steps},T).\n"
+        f"template(X,[element(n,[],[])]):-X=element(q,_,_),{nots}.\n"
+    )
+    deep = "<a>" * 13 + "deep" + "</a>" * 13
+    doc = parse(f"<d><r><p>1</p><p>2</p></r><s>{deep}</s><q/></d>")
+    for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+        moded = rules.with_options(solution_mode=mode)
+        hedge = apply_templates(moded, doc)
+        assert hedge == reference_engine.apply_templates(moded, doc)
+        assert len(hedge) == (1 if mode == FIRST_ONLY else 2) + 2
+    assert apply_templates(rules, doc) == (
+        element("o", [], [text("1"), text("1"), text("1")]), text("deep"), element("n")
+    )

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ltlx import element, parse, parse_path_text, parse_rules, serialize, text, transform_document
-from ltlx import engine
-from ltlx.engine import apply_templates, solve_goals
+from ltlx import compiler
+from ltlx.engine import apply_templates
 from ltlx.errors import (
     DuplicateAttributeError,
     InstantiationError,
@@ -14,8 +14,8 @@ from ltlx.errors import (
 )
 from ltlx.nodes import pi
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
-from ltlx.rules import Not, Rule, RuleSet, Transform, Unify
-from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, unify
+from ltlx.rules import Rule, RuleSet, Transform
+from ltlx.terms import Atom, Compound, Seq, Var, anon
 
 from conftest import random_document
 from reference_engine import node_to_term
@@ -34,37 +34,32 @@ def hello_fixture():
     return element("top", [], [a, a]), a
 
 
+def fires(goals, output="element(ok,[],[])", doc=None):
+    """The output of one rule with head element(r,_,_) and `goals` on `doc`."""
+    rules = parse_rules(f"template(element(r,_,_),[{output}]):-{goals}.")
+    return apply_templates(rules, doc or element("r"))
+
+
 class TestSolveGoals:
+    # Goal bodies run compiled into their rule's function, so each goal is
+    # checked through the output of a rule that holds it.
     def test_shared_child_goals_bind_text_content(self):
         doc, a = hello_fixture()
         rs = parse_rules(SHARED_CHILD_RULES)
-        rule = rs.rules[0]
-        theta = unify(rule.head, node_to_term(doc))
-        assert theta is not None
-        solutions = list(solve_goals(rs, rule.goals, theta, doc))
-        assert len(solutions) == 1
-        assert solutions[0]["T"] == Str("hello")
+        assert apply_templates(rs, doc) == (text("hello"),)
+        assert apply_templates(rs.with_options(solution_mode=ALL_SOLUTIONS), doc) == (text("hello"),)
 
     def test_single_unify_goal(self):
-        rs = RuleSet()
-        goal = Unify(Var("X"), node_to_term(text("a")))
-        solutions = list(solve_goals(rs, (goal,), {}, element("r")))
-        assert len(solutions) == 1
-        assert solutions[0]["X"] == node_to_term(text("a"))
+        assert fires('X=text("a")', "X") == (text("a"),)
 
     def test_negation_as_failure(self):
-        rs = RuleSet()
-        failing = Unify(node_to_term(text("a")), node_to_term(text("b")))
-        solutions = list(solve_goals(rs, (Not(failing),), {}, element("r")))
-        assert solutions == [{}]
+        assert fires('not(text("a")=text("b"))') == (element("ok"),)
 
     def test_negation_blocks_on_success_and_discards_bindings(self):
-        rs = RuleSet()
-        succeeding = Unify(Var("X"), node_to_term(text("a")))
-        assert list(solve_goals(rs, (Not(succeeding),), {}, element("r"))) == []
-        # inner bindings never leak
-        outer = (Not(Unify(Var("Y"), node_to_term(text("a")))),)
-        assert list(solve_goals(rs, outer, {}, element("r"))) == []
+        assert fires('not(X=text("a"))') == ()
+        # inner bindings never leak: X is still free after the double negation
+        assert fires('not(not(X=text("a"))),X=text("b")', "X") == (text("b"),)
+        assert fires('not(not(X=text("a"))),X=text("b"),not(X=text("a"))', "X") == (text("b"),)
 
     def test_transform_requires_bound_start(self):
         # Built from terms: parse_rules rejects an unbound start at load time.
@@ -72,9 +67,8 @@ class TestSolveGoals:
         goal = Transform(parse_path_text("B//p#1"), Var("T"))
         rule = Rule(head, (Compound("text", (Var("T"),)),), (goal,), 1)
         rs = RuleSet((rule,))
-        theta = unify(rule.head, node_to_term(element("a")))
-        with pytest.raises(InstantiationError):
-            list(solve_goals(rs, rule.goals, theta, element("a")))
+        with pytest.raises(InstantiationError, match="transform path start B is unbound"):
+            apply_templates(rs, element("a"))
 
     def test_a_start_bound_to_a_node_is_not_rebuilt(self, monkeypatch):
         # The benchmark catalog's guard rule: a bare-variable head whose
@@ -90,8 +84,8 @@ class TestSolveGoals:
             '<item flag="cold"><name>B</name></item><item><name>C</name></item></catalog>'
         )
         calls = []
-        real = engine.term_to_node
-        monkeypatch.setattr(engine, "term_to_node", lambda *a: calls.append(a) or real(*a))
+        real = compiler.term_to_node  # what rebuilds a start that is not a node
+        monkeypatch.setattr(compiler, "term_to_node", lambda *a: calls.append(a) or real(*a))
         result = transform_document(rules, doc)
         assert "".join(map(serialize, result.nodes)) == (
             "<h1>T</h1><flagged>A</flagged><other/><other/>"
@@ -102,10 +96,8 @@ class TestSolveGoals:
         rs = parse_rules(
             'template(element(a,_,_),[text("k")]):-T="s",transform(T//p,R),R=R.'
         )
-        rule = rs.rules[0]
-        theta = unify(rule.head, node_to_term(element("a")))
-        with pytest.raises(TypeMismatchError):
-            list(solve_goals(rs, rule.goals, theta, element("a")))
+        with pytest.raises(TypeMismatchError, match='transform path start T is not a node: "s"'):
+            apply_templates(rs, element("a"))
 
 
 # An `=` goal leaves O, X or P holding a variable that a later goal binds.
@@ -119,14 +111,12 @@ NOT_AFTER_CHAIN_RULES = (
 )
 
 
-def goals_of(text):
-    return parse_rules(f"template(_,[]):-{text}.").rules[0].goals
-
-
 class TestTriangularBindings:
     def test_solutions_keep_a_chain_of_bindings(self):
-        (solution,) = solve_goals(RuleSet(), goals_of('X=Y,Y="v"'), {}, element("r"))
-        assert solution == {"X": Var("Y"), "Y": Str("v")}
+        # X is bound to the variable Y, which the next goal binds.
+        assert fires('X=Y,Y="v"', "text(X)") == (text("v"),)
+        assert fires('X=Y,Y="v",X="v"', "text(X)") == (text("v"),)
+        assert fires('X=Y,Y="v",X="w"', "text(X)") == ()
 
     def test_output_reads_children_bound_after_the_equation(self):
         doc = element("a", [], [element("p", [], [text("hi")])])
@@ -142,9 +132,10 @@ class TestTriangularBindings:
             assert apply_templates(rules, doc) == (text("hello"),)
 
     def test_not_after_a_chain_leaves_no_binding(self):
-        goals = goals_of("O=element(b,[],K),P=f(K,x),not(P=f([],y))")
-        (solution,) = solve_goals(RuleSet(), goals, {}, element("r"))
-        assert "K" not in solution
+        # Inside the not, K is bound to []; the output then finds it free again.
+        with pytest.raises(UnboundOutputError) as err:
+            fires("O=element(b,[],K),P=f(K,x),not(P=f([],y))", "element(k,[],K)")
+        assert err.value.variable == "K"
         doc = element("a", [], [element("p", [], [text("hi")])])
         assert apply_templates(parse_rules(NOT_AFTER_CHAIN_RULES), doc) == (
             element("b", [], [text("hi")]),

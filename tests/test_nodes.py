@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -125,6 +126,22 @@ class TestDeepEquality:
         assert left == right and not left != right
         assert hash(left) == hash(right)
         assert len({left, right}) == 1
+
+    def test_a_100000_deep_chain_deep_copies_and_pickles(self):
+        node = chain(100_000, "x")
+        copied = copy.deepcopy(node)
+        assert copied == node and copied is not node
+        assert copied.children[0] is not node.children[0]
+        assert pickle.loads(pickle.dumps(node)) == node
+
+    def test_a_shallow_copy_is_the_element_and_a_deep_copy_keeps_sharing(self):
+        node = chain(100_000, "x")
+        assert copy.copy(node) is node
+        shared = element("s", [], [text("t")])
+        pair = element("p", [], [shared, shared])
+        first, second = copy.deepcopy([pair, shared])
+        assert first == pair and first is not pair
+        assert first.children[0] is first.children[1] is second
 
     def test_100000_deep_chains_differing_at_the_leaf(self):
         assert chain(100_000, "x") != chain(100_000, "y")

@@ -40,17 +40,30 @@ def test_root_holds_exactly_the_documented_names():
     assert all(callable(getattr(ltlx, name)) for name in ROOT_NAMES)
 
 
-def test_import_loads_no_front_end_or_fact_layers():
+def loaded_by(module):
+    """The ltlx modules a fresh interpreter has loaded after `import module`."""
     paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    probe = "import sys, ltlx; print(' '.join(sorted(m for m in sys.modules if m.startswith('ltlx'))))"
+    probe = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('ltlx')))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_front_end_or_fact_layers():
+    loaded = loaded_by("ltlx")
     assert "ltlx.engine" in loaded
     assert not loaded & {"ltlx.metrics", "ltlx.relalg", "ltlx.cli"}
+
+
+def test_neither_import_loads_the_rule_compiler():
+    # The compiler loads at the first transform, so the other subcommands
+    # never compile its source.
+    for module in ("ltlx", "ltlx.cli"):
+        loaded = loaded_by(module)
+        assert "ltlx.rules" in loaded and "ltlx.compiler" not in loaded, module
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -4,7 +4,7 @@ import pytest
 
 from ltlx import element, eval_path, parse_path_text, text
 from ltlx.errors import BadIndexPathError, TypeMismatchError
-from ltlx.nodes import Element, document_order, node_count, pi
+from ltlx.nodes import Element, comment, document_order, node_count, pi
 from ltlx.queryops import (
     Down,
     UP,
@@ -178,6 +178,17 @@ class TestOperatorEdges:
     def test_dos_type_mismatch_on_non_element(self):
         with pytest.raises(TypeMismatchError):
             list(descendant_or_self_by_name(text("x"), "p"))
+
+    def test_attribute_steps_find_nothing_on_non_elements(self):
+        # The attribute axis of a non-element is empty, as in XPath 1.0.
+        for node in (text("x"), pi("p"), comment("c")):
+            assert attr_value(node, "b") is None
+            assert list(attr_name_by_value(node, "1")) == []
+            assert list(eval_path(node, parse_path_text("@b"))) == []
+            assert list(eval_path(node, parse_path_text('id("1")'))) == []
+        doc = element("r", [], [text("t"), element("p", [("b", "1")])])
+        assert list(eval_path(doc, parse_path_text("child @b"))) == ["1"]
+        assert list(eval_path(doc, parse_path_text('child id("1")'))) == ["b"]
 
     def test_attr_value_scans_in_order(self):
         assert attr_value(element("a", [("b", "1"), ("c", "2")]), "c") == "2"

@@ -83,23 +83,44 @@ def random_head(rng, subtree):
     return head, kinds
 
 
+def random_transform(rng, kinds, v, name, steps=None):
+    """A transform goal from `v` binding the fresh variable `name`."""
+    kind, steps = steps or rng.choice(
+        (("string", STRING_STEPS), ("node", NODE_STEPS), ("other", OTHER_STEPS))
+    )
+    kinds[name] = kind
+    return Transform(parse_path_text(v + rng.choice(steps)), Var(name))
+
+
 def random_goal(rng, kinds, head, k):
-    """One goal over the head's variables; fresh variables are added to `kinds`."""
+    """Goals over the head's variables; fresh variables are added to `kinds`."""
     nodes = sorted(n for n, kind in kinds.items() if kind == "node")
     if not nodes:
-        return Unify(Var(f"S{k}"), Str("s"))
+        return (Unify(Var(f"S{k}"), Str("s")),)
     v = rng.choice(nodes)
+    strict = v in variables_of(head) and head != Var(v)  # a strict subtree: recursion ends
     roll = rng.random()
-    if roll < 0.3 and v in variables_of(head) and head != Var(v):
-        # A strict subtree of the matched node, so the recursion ends.
+    if roll < 0.2 and strict:
         kinds[f"R{k}"] = "hedge"
-        return ApplyTemplates(Var(v), Var(f"R{k}"))
-    if roll < 0.6:
-        kind, steps = rng.choice(
-            (("string", STRING_STEPS), ("node", NODE_STEPS), ("other", OTHER_STEPS))
+        return (ApplyTemplates(Var(v), Var(f"R{k}")),)
+    if roll < 0.3 and strict:
+        # A transform over the node a template/2 goal produced.
+        goal = ApplyTemplates(Var(v), Seq((Var(f"O{k}"),)))
+        return goal, random_transform(rng, kinds, f"O{k}", f"U{k}")
+    if roll < 0.45:
+        return (random_transform(rng, kinds, v, f"T{k}"),)
+    if roll < 0.55:
+        # Two goals with several results each: the solutions' order shows.
+        many = ("node", ("//*", " child", " descendant"))
+        return (
+            random_transform(rng, kinds, v, f"T{k}", many),
+            random_transform(rng, kinds, rng.choice(nodes), f"V{k}", many),
         )
-        kinds[f"T{k}"] = kind
-        return Transform(parse_path_text(v + rng.choice(steps)), Var(f"T{k}"))
+    if roll < 0.6:
+        inner = random_transform(rng, {}, v, f"N{k}")
+        if rng.random() < 0.5:
+            inner = Transform(inner.path, Str("alpha"))
+        return (Not(inner),)
     if roll < 0.8:
         pattern = Compound(
             rng.choice(NODE_FUNCTORS[:2]),
@@ -109,10 +130,10 @@ def random_goal(rng, kinds, head, k):
         )
         if len(pattern.args) == 3:
             kinds[f"C{k}"] = "hedge"
-        return Unify(Var(v), pattern)
+        return (Unify(Var(v), pattern),)
     other = Var(rng.choice(nodes))
     inner = Unify(Var(v), other) if rng.random() < 0.5 else Unify(Var(v), Compound("text", (anon(),)))
-    return Not(inner)
+    return (Not(inner),)
 
 
 def random_output(rng, kinds):
@@ -140,7 +161,7 @@ def random_rule_set(rng, doc):
     rules = []
     for line in range(1, rng.randint(1, 4) + 1):
         head, kinds = random_head(rng, rng.choice(subtrees))
-        goals = tuple(random_goal(rng, kinds, head, k) for k in range(rng.randint(0, 2)))
+        goals = tuple(g for k in range(rng.randint(0, 2)) for g in random_goal(rng, kinds, head, k))
         output = tuple(random_output(rng, kinds) for _ in range(rng.randint(1, 2)))
         rules.append(Rule(head, output, goals, line))
     if rng.random() < 0.5:
@@ -176,6 +197,16 @@ LATE_BINDING_RULES = (
     'template(A,[text(X)]):-A=element(a,_,_),X=Y,transform(A//p/#,Y),not(X="hi").',
     # Attributes written as name=value in a head and in an output.
     "template(element(a,[id=V],_),[element(row,[k=V],[])]).",
+    # not/1 around a transform goal, which binds nothing outside it.
+    "template(A,[text(X)]):-A=element(a,_,_),transform(A//p/#,X),not(transform(A/p#2/#,X)).",
+    # Two transform goals with several results each: the solutions' order.
+    "template(A,[element(o,[],[text(X),text(Y)])]):-A=element(a,_,_),transform(A/p/#,X),"
+    "transform(A//*/#,Y).",
+    # not(not(g)) succeeds when g does, but keeps none of g's bindings.
+    'template(A,[text(X)]):-A=element(a,_,_),not(not(transform(A/p/#,X))),X="none".',
+    # A transform over the node a template/2 goal produced.
+    "template(element(a,_,[C]),[text(T)]):-template(C,[O]),transform(O//*#,T).\n"
+    "template(element(p,_,K),[element(q,[],K)]).",
 )
 LATE_BINDING_DOC = (
     '<r><a id="1"><p>hi</p></a><a><p>hi</p><p>ho</p></a><a><p>ho</p></a><b/></r>'
