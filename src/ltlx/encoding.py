@@ -52,18 +52,19 @@ def encode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     explicit stack through `rebuild`.
     """
     pi_mark, comment_mark, attr_mark = config.marks
-    clashes = re.compile(f"[{re.escape(''.join(config.marks))}]").search
 
     def leaf(n: Node) -> Node:
-        if clashes(n.content):
+        content = n.content
+        if pi_mark in content or comment_mark in content or attr_mark in content:
             _raise_first_collision(node, config)
-        return n if type(n) is Text else Text((pi_mark if type(n) is PI else comment_mark) + n.content)
+        return n if type(n) is Text else Text((pi_mark if type(n) is PI else comment_mark) + content)
 
     def element(e: Element, children: Sequence[Node]) -> Node:
         if not e.attributes:
             return e if children is e.children else Element(e.name, (), tuple(children))
-        if any(clashes(a.value) for a in e.attributes):
-            _raise_first_collision(node, config)
+        for a in e.attributes:
+            if pi_mark in a.value or comment_mark in a.value or attr_mark in a.value:
+                _raise_first_collision(node, config)
         wrapped = (Element(a.name, (), (Text(attr_mark + a.value),)) for a in e.attributes)
         return Element(e.name, (), (*wrapped, *children))
 
@@ -99,32 +100,36 @@ def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     an explicit stack through `rebuild`, so of several faults the first
     one closed in post-order is reported.
     """
-    decoded = {config.pi_mark: PI, config.comment_mark: Comment}
+    # An attribute-marked text decodes to its value, a str, which the
+    # wrapper around it reads.  So `children is e.children` means that
+    # nothing under `e` decoded to anything else, and `e` stands for itself.
+    decoded = {config.pi_mark: PI, config.comment_mark: Comment, config.attr_mark: str}
 
-    def marked(n: object) -> bool:
-        return type(n) is Text and n.content.startswith(config.attr_mark)
-
-    def leaf(n: Node) -> Node:
+    def leaf(n: Node) -> Node | str:
         if type(n) is not Text:
             raise DecodeError(f"{type(n).__name__.lower()} node cannot appear in an encoded document")
         kind = decoded.get(n.content[:1])
-        return kind(n.content[1:]) if kind else n  # attribute-marked text is read by its parent
+        return kind(n.content[1:]) if kind else n
 
-    def element(e: Element, children: Sequence[Node | Attribute]) -> Node | Attribute:
+    def element(e: Element, children: Sequence[Node | Attribute | str]) -> Node | Attribute:
         if e.attributes:
             raise DecodeError(f"element {e.name!r} still carries raw attributes")
-        if len(children) == 1 and marked(children[0]):
-            return Attribute(e.name, children[0].content[1:])  # a wrapper, read by its parent
-        n = next((i for i, child in enumerate(children) if type(child) is not Attribute), len(children))
-        for child in children[n:]:
+        if children is e.children:
+            return e
+        if len(children) == 1 and type(children[0]) is str:
+            return Attribute(e.name, children[0])  # a wrapper, read by its parent
+        n = 0  # the leading children that decoded to attributes
+        while n < len(children) and type(children[n]) is Attribute:
+            n += 1
+        for child in children[n:] if n else children:
             if type(child) is Attribute:
                 raise DecodeError(f"attribute wrapper after real children of element {e.name!r}")
-            if marked(child):
+            if type(child) is str:
                 raise DecodeError("attribute-marked text outside an attribute wrapper")
-        return e if children is e.children else Element(e.name, tuple(children[:n]), tuple(children[n:]))
+        return Element(e.name, tuple(children[:n]), tuple(children[n:]))
 
     result = rebuild(node, element, leaf)
-    if type(result) is Attribute or marked(result):
+    if type(result) is Attribute or type(result) is str:
         raise DecodeError("attribute-marked text outside an attribute wrapper")
     return result
 
@@ -149,17 +154,31 @@ def split_sentinel_text(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) 
     been absorbed into it and stays there.  Runs on an explicit stack
     through `rebuild`.
     """
+    if type(node) is not Element:
+        return node
+    pi_mark, comment_mark, attr_mark = config.marks
     parts = re.compile(f"(?s).[^{re.escape(''.join(config.marks))}]*").findall
 
-    def element(e: Element, children: Sequence[Node]) -> Node:
+    def leaf(n: Node) -> Node | tuple[Text, ...]:
+        """A text that holds two marked runs or more, as the tuple of its parts."""
+        if type(n) is not Text:
+            return n
+        content = n.content
+        if pi_mark in content or comment_mark in content or attr_mark in content:
+            texts = parts(content)
+            if len(texts) > 1:
+                return tuple(map(Text, texts))
+        return n
+
+    def element(e: Element, children: Sequence[Node | tuple[Text, ...]]) -> Node:
+        if children is e.children:
+            return e
         split: list[Node] = []
         for child in children:
-            if type(child) is Text and len(texts := parts(child.content)) > 1:
-                split.extend(map(Text, texts))
+            if type(child) is tuple:
+                split.extend(child)
             else:
                 split.append(child)
-        if children is e.children and len(split) == len(children):
-            return e
         return Element(e.name, e.attributes, tuple(split))
 
-    return rebuild(node, element)
+    return rebuild(node, element, leaf)

@@ -11,7 +11,7 @@ and copy and pickle as the values they are, at any depth.
 
 from __future__ import annotations
 
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateAttributeError
@@ -206,24 +206,35 @@ def rebuild(
     document order.  `element(e, children)` rebuilds each element once
     `children` holds what its children rebuilt to; that is `e.children`
     itself when every child rebuilt to itself, so `e` can be returned.
-    Returns what `node` rebuilds to.  Any depth works.
+    What a callback returns for a child only reaches the parent's
+    `element` call, so it may be a value other than a node.  A childless
+    element is rebuilt as soon as it is met, which is also its place in
+    post-order.  Returns what `node` rebuilds to.  Any depth works.
     """
     if type(node) is not Element:
         return leaf(node) if leaf else node
-    stack = [(node, iter(node.children), [])]
+    # The open element, its children, the iterator over them and what they
+    # rebuilt to stay in locals; `stack` holds those of its ancestors.
+    stack = []
+    e, kids = node, node.children
+    pending, done = iter(kids), []
     while True:
-        e, pending, done = stack[-1]
         for child in pending:
-            if type(child) is Element:
-                stack.append((child, iter(child.children), []))
+            if type(child) is not Element:
+                done.append(leaf(child) if leaf else child)
+            elif child.children:
+                stack.append((e, kids, pending, done))
+                e, kids = child, child.children
+                pending, done = iter(kids), []
                 break
-            done.append(leaf(child) if leaf else child)
+            else:  # childless: rebuilt at once, in its post-order place
+                done.append(element(child, child.children))
         else:
-            stack.pop()
-            result = element(e, e.children if all(map(is_, done, e.children)) else done)
+            result = element(e, kids if all(map(is_, done, kids)) else done)
             if not stack:
                 return result
-            stack[-1][2].append(result)
+            e, kids, pending, done = stack.pop()
+            done.append(result)
 
 
 def canonicalize(node: Node) -> Node:
@@ -245,8 +256,15 @@ def unique_attributes(element: str, attributes: tuple[Attribute, ...]) -> tuple[
     return attributes
 
 
+_name = attrgetter("name")
+
+
 def _sort_attributes(e: Element, children: Sequence[Node]) -> Element:
-    attributes = tuple(sorted(unique_attributes(e.name, e.attributes), key=lambda a: a.name))
+    attributes = e.attributes
+    if len(attributes) > 1:
+        attributes = tuple(sorted(unique_attributes(e.name, attributes), key=_name))
+    elif children is e.children:
+        return e  # nothing to sort and nothing changed below
     if children is e.children and attributes == e.attributes:
         return e
     return Element(e.name, attributes, tuple(children))
@@ -286,12 +304,18 @@ def document_order(node: Node) -> Iterator[Node]:
     Runs on an explicit stack, so any depth works and each node costs the
     same however deep it sits.
     """
-    stack = [node]
+    yield node
+    if type(node) is not Element:
+        return
+    stack = [iter(node.children)]
     while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Element):
-            stack.extend(reversed(node.children))
+        for child in stack[-1]:
+            yield child
+            if type(child) is Element and child.children:
+                stack.append(iter(child.children))
+                break
+        else:
+            stack.pop()
 
 
 def node_count(node: Node) -> int:

@@ -225,9 +225,20 @@ def descendant_or_self_by_name(node: Node, name: str | None) -> Iterator[Element
     """Elements named `name` in the subtree rooted at `node`, itself included,
     in document order; `name=None` matches every element."""
     _require_element(node, "//")
-    for item in document_order(node):
-        if isinstance(item, Element) and (name is None or item.name == name):
-            yield item
+    if name is None or node.name == name:
+        yield node
+    # One iterator per open element; only elements are ever pushed.
+    stack = [iter(node.children)]
+    while stack:
+        for child in stack[-1]:
+            if type(child) is Element:
+                if name is None or child.name == name:
+                    yield child
+                if child.children:
+                    stack.append(iter(child.children))
+                    break
+        else:
+            stack.pop()
 
 
 def attr_value(node: Node, name: str) -> str | None:
@@ -309,46 +320,61 @@ def lvl(root: Node, target: Node) -> Iterator[IndexPath]:
     """
     _require_element(root, "lvl")
     sizes: dict[int, int] = {}
-    shallow = size = None  # for a leaf target, which no element equals
+    name = attributes = count = size = None  # for a leaf target, which no element equals
     if type(target) is Element:
-        shallow, size = (target.name, target.attributes, len(target.children)), _size(target, sizes)
+        name, attributes, count = target.name, target.attributes, len(target.children)
+        size = _size(target, sizes)
     path = [0]  # path[-1] counts the nodes taken so far from stack[-1]
     stack = [iter((root,))]
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
+        for node in stack[-1]:
+            path[-1] += 1
+            if type(node) is not Element:
+                if name is None and node_equal(node, target):
+                    yield tuple(path[1:])
+                continue
+            if (
+                node.name == name
+                and node.attributes == attributes
+                and len(node.children) == count
+                and _size(node, sizes) == size
+                and node_equal(node, target)
+            ):
+                yield tuple(path[1:])
+            if node.children:
+                stack.append(iter(node.children))
+                path.append(0)
+                break
+        else:
             stack.pop()
             path.pop()
-            continue
-        path[-1] += 1
-        if type(node) is not Element:
-            if node_equal(node, target):
-                yield tuple(path[1:])
-            continue
-        if (node.name, node.attributes, len(node.children)) == shallow:
-            if _size(node, sizes) == size and node_equal(node, target):
-                yield tuple(path[1:])
-        stack.append(iter(node.children))
-        path.append(0)
 
 
 def _size(node: Element, sizes: dict[int, int]) -> int:
     """The number of nodes under `node`, itself included.  Fills `sizes`,
     keyed by id, for every element under it that lacks one; each element
     is counted once however often it is asked about.  Explicit stack."""
-    stack = [node]
-    while stack:
-        e = stack[-1]
-        if id(e) in sizes:
-            stack.pop()
-            continue
-        missing = [c for c in e.children if type(c) is Element and id(c) not in sizes]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        sizes[id(e)] = 1 + sum(sizes[id(c)] if type(c) is Element else 1 for c in e.children)
-    return sizes[id(node)]
+    if id(node) in sizes:
+        return sizes[id(node)]
+    stack = []  # the open ancestors of `e`, each with its iterator and count so far
+    e, pending, size = node, iter(node.children), 1
+    while True:
+        for child in pending:
+            if type(child) is not Element:
+                size += 1
+            elif id(child) in sizes:
+                size += sizes[id(child)]
+            else:
+                stack.append((e, pending, size))
+                e, pending, size = child, iter(child.children), 1
+                break
+        else:
+            sizes[id(e)] = size
+            if not stack:
+                return size
+            inner = size
+            e, pending, size = stack.pop()
+            size += inner
 
 
 class Up(Value):
@@ -453,15 +479,10 @@ def eval_path(
         yield from stream
 
 
-def _coerced_text(node: Node) -> Iterator[str]:
-    if isinstance(node, Element):
-        for child in node.children:
-            if isinstance(child, Text):
-                yield child.content
-    else:
-        value = text_value(node)
-        if value is not None:
-            yield value
+def _coerced_text(node: Node) -> Iterable[str]:
+    if type(node) is Element:
+        return [child.content for child in node.children if type(child) is Text]
+    return _found(text_value(node))
 
 
 def _apply_step(

@@ -59,53 +59,78 @@ def _tree_builder(root: list[Element]) -> tuple[Callable, ...]:
     """The five expat handlers that build the tree and append its root
     element to `root`.  They are closures over the stack of open elements
     and the children list of the innermost one, so an event costs no
-    attribute lookups; an element without attributes gets ()."""
+    attribute lookups; an element without attributes gets ().
+
+    Expat may report one run of character data in several pieces (it
+    flushes its buffer every 8192 characters), so the pieces are kept in
+    `texts` and become one text node when the next other event arrives:
+    a text node never has a text sibling, as in the XPath data model.
+    """
     stack: list[tuple[str, tuple[Attribute, ...], list[Node]]] = []
     push, pop = stack.append, stack.pop
     children: list[Node] = root  # type: ignore[assignment]
+    texts: list[str] = []
+
+    def flush() -> None:
+        children.append(Text("".join(texts)))
+        texts.clear()
 
     def start(name: str, attrs: list[str]) -> None:
         nonlocal children
+        if texts:
+            flush()
         push((name, tuple(map(Attribute, attrs[::2], attrs[1::2])) if attrs else (), children))
         children = []
 
     def end(name: str) -> None:
         nonlocal children
+        if texts:
+            flush()
         name, attributes, parent = pop()
         parent.append(Element(name, attributes, tuple(children)))
         children = parent
 
     def data(content: str) -> None:
         if stack:
-            children.append(Text(content))
+            texts.append(content)
 
     def pi(target: str, data: str) -> None:
         if stack:
+            if texts:
+                flush()
             children.append(PI(f"{target} {data}" if data else target))
 
     def comment(data: str) -> None:
         if stack:
+            if texts:
+                flush()
             children.append(Comment(data))
 
     return start, end, data, pi, comment
 
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
-_ATTR_ESCAPES = {
-    "&": "&amp;",
-    "<": "&lt;",
-    ">": "&gt;",
-    '"': "&quot;",
-    "\t": "&#9;",
-    "\n": "&#10;",
-    "\r": "&#13;",
-}
+def _escape_text(text: str) -> str:
+    """`text` with each character that would not read back as itself as a reference."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
 
 
-def _escape(value: str, table: dict[str, str]) -> str:
-    for raw, ref in table.items():
-        if raw in value:
-            value = value.replace(raw, ref)
+def _escape_attribute(value: str) -> str:
+    """`value` escaped as text, and its quotes, tabs and newlines as references too."""
+    value = _escape_text(value)
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    if "\t" in value:
+        value = value.replace("\t", "&#9;")
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
     return value
 
 
@@ -115,25 +140,35 @@ def serialize(node: Node, xml_declaration: bool = False) -> str:
     Empty elements collapse to <n/>, attributes are double-quoted in
     stored order, and special characters are escaped so that reparsing
     the output reproduces the node exactly.  A loop writes the tree,
-    stacking each element's closing tag, so any depth works.
+    stacking each element's closing tag, so any depth works; an element
+    whose only child is a text is written in one piece.
     """
     parts = [XML_DECLARATION] if xml_declaration else []
+    write = parts.append
     stack: list[Node | str] = [node]
+    pop = stack.pop
     while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
-        elif type(node) is Text:
-            parts.append(_escape(node.content, _TEXT_ESCAPES))
-        elif type(node) is PI:
-            parts.append(f"<?{node.content}?>")
-        elif type(node) is Comment:
-            parts.append(f"<!--{node.content}-->")
+        node = pop()
+        kind = type(node)
+        if kind is str:
+            write(node)
+        elif kind is Element:
+            name, kids = node.name, node.children
+            tag = f"<{name}"
+            if node.attributes:
+                tag += "".join([f' {a.name}="{_escape_attribute(a.value)}"' for a in node.attributes])
+            if not kids:
+                write(tag + "/>")
+            elif len(kids) == 1 and type(kids[0]) is Text:
+                write(f"{tag}>{_escape_text(kids[0].content)}</{name}>")
+            else:
+                write(tag + ">")
+                stack.append(f"</{name}>")
+                stack.extend(reversed(kids))
+        elif kind is Text:
+            write(_escape_text(node.content))
+        elif kind is PI:
+            write(f"<?{node.content}?>")
         else:
-            parts.append(f"<{node.name}")
-            for attr in node.attributes:
-                parts.append(f' {attr.name}="{_escape(attr.value, _ATTR_ESCAPES)}"')
-            parts.append(">" if node.children else "/>")
-            if node.children:
-                stack += (f"</{node.name}>", *reversed(node.children))
+            write(f"<!--{node.content}-->")
     return "".join(parts)

@@ -5,7 +5,9 @@ ground terms: every match converts the node's whole subtree with
 node_to_term, renames the head's wildcards to fresh variables, unifies
 with the occurs check, and converts every output term back with
 term_to_node.  The code below is that path verbatim; only the imports,
-the fresh-name counter and `compose` are local.  The tests in
+the fresh-name counter and `compose` are local.  Paths are evaluated by
+the naive evaluator in reference_paths.py, not by the package's
+`eval_path`, so a fault in a path step shows here too.  The tests in
 tests/test_reference_engine.py run the engine and this oracle on the
 same documents and rule sets and require the same output, or the same
 exception type.
@@ -18,7 +20,7 @@ from typing import Iterator
 
 from ltlx.errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from ltlx.nodes import Attribute, Comment, Element, Hedge, Node, PI, Text
-from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY, Result, eval_path
+from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY, Result
 from ltlx.rules import ApplyTemplates, Goal, Not, Rule, RuleSet, Transform, Unify
 from ltlx.terms import (
     Anonymous,
@@ -32,6 +34,8 @@ from ltlx.terms import (
     apply_subst,
     is_ground,
 )
+
+from reference_paths import eval_path
 
 _anon_ids = itertools.count(1)
 _FRESH_PREFIX = "_G"

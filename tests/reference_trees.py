@@ -4,8 +4,9 @@ These are `canonicalize`, `encode_core`, `decode_core`,
 `split_sentinel_text` and `serialize` as they stood before each became a
 callback over `ltlx.nodes.rebuild` or an explicit-stack loop.  The
 function bodies below are verbatim, with the helpers they call
-(`_check_clean`, `_encode`, `_as_attribute_wrapper`, `_write`); only the
-imports are local.  tests/test_rebuild.py runs them and the current
+(`_check_clean`, `_encode`, `_as_attribute_wrapper`, `_write`) and the
+escape tables and `_escape` that `serialize` used then; only the imports
+are local.  tests/test_rebuild.py runs them and the current
 functions on the same trees and requires the same output, or the same
 exception type and message, apart from the differences that file pins.
 They recurse once per level, so keep their inputs shallow.
@@ -18,7 +19,25 @@ import re
 from ltlx.encoding import DEFAULT_SENTINELS, SentinelConfig
 from ltlx.errors import DecodeError, DuplicateAttributeError, SentinelCollisionError
 from ltlx.nodes import Attribute, Comment, Element, Node, PI, Text
-from ltlx.xmlio import XML_DECLARATION, _ATTR_ESCAPES, _TEXT_ESCAPES, _escape
+from ltlx.xmlio import XML_DECLARATION
+
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTR_ESCAPES = {
+    "&": "&amp;",
+    "<": "&lt;",
+    ">": "&gt;",
+    '"': "&quot;",
+    "\t": "&#9;",
+    "\n": "&#10;",
+    "\r": "&#13;",
+}
+
+
+def _escape(value: str, table: dict[str, str]) -> str:
+    for raw, ref in table.items():
+        if raw in value:
+            value = value.replace(raw, ref)
+    return value
 
 
 def canonicalize(node: Node) -> Node:

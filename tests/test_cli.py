@@ -76,6 +76,15 @@ class TestEncodeDecode:
         assert code == EXIT_OK
         assert decoded == original + "\n"
 
+    def test_round_trip_of_a_10_kb_attribute_with_references(self, xml_file):
+        # The attribute's wrapper text reaches expat's 8192-character buffer.
+        original = '<a k="' + "x&amp;" * 5000 + '">t</a>'
+        code, encoded, _ = invoke("encode", xml_file(original))
+        assert code == EXIT_OK
+        code, decoded, err = invoke("decode", xml_file(encoded, "enc.xml"))
+        assert (code, err) == (EXIT_OK, "")
+        assert decoded == original + "\n"
+
     def test_sentinel_override_flag(self, xml_file):
         code, out, _ = invoke(
             "encode", "--sentinels", "E100,E101,E102", xml_file("<a><?p d?></a>")
@@ -148,6 +157,10 @@ class TestQuery:
     def test_lvl_result_rendered_as_index_list(self, xml_file):
         code, out, _ = invoke("query", "-p", "//p lvl", xml_file(self.DOC))
         assert out == "[1,1]\n[2]\n"
+
+    def test_a_long_text_is_one_result(self, xml_file):
+        code, out, _ = invoke("query", "-p", "//a#", xml_file("<a>" + "x&amp;" * 5000 + "</a>"))
+        assert (code, out) == (EXIT_OK, "x&" * 5000 + "\n")
 
     def test_bad_path_is_usage_independent_error(self, xml_file):
         code, _, err = invoke("query", "-p", "//", xml_file(self.DOC))

@@ -189,6 +189,16 @@ class TestSplitSentinelText:
             recovered = decode_core(split_sentinel_text(parse(emitted)))
             assert recovered == doc
 
+    def test_textual_round_trip_of_texts_longer_than_the_parser_buffer(self):
+        """Expat reads character data in pieces of at most 8192 characters;
+        a 10 KB attribute value, text and comment all come back whole."""
+        from ltlx import parse, serialize, split_sentinel_text
+
+        long = "x&<" * 3400
+        doc = element("a", [("k", long)], [element("b", [], [text(long)]), comment(long)])
+        emitted = serialize(encode_core(doc))
+        assert decode_core(split_sentinel_text(parse(emitted))) == doc
+
     # Marks that are special inside a regular-expression character class, among any others.
     MARKS = st.lists(
         st.sampled_from("]^-\\[" + PI_MARK + COMMENT_MARK) | st.characters(),

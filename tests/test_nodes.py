@@ -1,12 +1,23 @@
 import copy
 import pickle
 import random
+from operator import is_
 
 import pytest
 
 from ltlx import canonicalize, element, text
 from ltlx.errors import DuplicateAttributeError
-from ltlx.nodes import Attribute, Element, comment, document_order, node_count, node_equal, pi
+from ltlx.nodes import (
+    Attribute,
+    Element,
+    Text,
+    comment,
+    document_order,
+    node_count,
+    node_equal,
+    pi,
+    rebuild,
+)
 
 from conftest import random_document
 
@@ -49,10 +60,13 @@ class TestCanonicalize:
 
     def test_duplicate_attribute_rejected(self):
         n = element("a", [("b", "1"), ("b", "2")])
-        with pytest.raises(DuplicateAttributeError) as err:
-            canonicalize(n)
-        assert err.value.element == "a"
-        assert err.value.attribute == "b"
+        inside = element("r", [], [element("p"), n, text("t")])
+        with_a_child = element("r", [], [element("a", n.attributes, [text("t")])])
+        for doc in (n, inside, with_a_child):
+            with pytest.raises(DuplicateAttributeError) as err:
+                canonicalize(doc)
+            assert err.value.element == "a"
+            assert err.value.attribute == "b"
 
     def test_idempotent_and_matches_oracle_on_random_documents(self):
         rng = random.Random(101)
@@ -79,6 +93,71 @@ class TestCanonicalize:
         n = element("a", [("B", "1"), ("a", "2")])
         # "B" (U+0042) sorts before "a" (U+0061)
         assert canonicalize(n).attributes[0].name == "B"
+
+
+def calls_oracle(node):
+    """The callbacks `rebuild` makes, by recursion: each leaf in document
+    order, each element after its children."""
+    if not isinstance(node, Element):
+        return [("leaf", node)]
+    calls = [call for child in node.children for call in calls_oracle(child)]
+    return calls + [("element", node)]
+
+
+class TestRebuild:
+    def record(self, doc, leaf_result=lambda n: n):
+        calls = []
+
+        def on_element(e, children):
+            calls.append(("element", e))
+            assert (children is e.children) == all(map(is_, children, e.children))
+            return e if children is e.children else Element(e.name, e.attributes, tuple(children))
+
+        def on_leaf(n):
+            calls.append(("leaf", n))
+            return leaf_result(n)
+
+        return rebuild(doc, on_element, on_leaf), calls
+
+    def test_childless_elements_among_siblings(self):
+        doc = element("r", [], [
+            element("e1"),
+            text("t1"),
+            element("m", [], [element("e2"), comment("c"), element("e3", [("k", "v")])]),
+            pi("p"),
+            element("e4"),
+        ])
+        result, calls = self.record(doc)
+        assert result is doc
+        assert [(kind, n.name if kind == "element" else n) for kind, n in calls] == [
+            ("element", "e1"),
+            ("leaf", text("t1")),
+            ("element", "e2"),
+            ("leaf", comment("c")),
+            ("element", "e3"),
+            ("element", "m"),
+            ("leaf", pi("p")),
+            ("element", "e4"),
+            ("element", "r"),
+        ]
+
+    def test_call_order_and_sharing_on_random_documents(self):
+        rng = random.Random(104)
+        upper = lambda n: Text(n.content.upper()) if isinstance(n, Text) else n
+        for _ in range(300):
+            doc = random_document(rng)
+            result, calls = self.record(doc)
+            assert result is doc
+            assert calls == calls_oracle(doc)
+            result, calls = self.record(doc, upper)
+            assert calls == calls_oracle(doc)
+            assert [n for n in document_order(result) if isinstance(n, Text)] == [
+                upper(n) for n in document_order(doc) if isinstance(n, Text)
+            ]
+
+    def test_a_leaf_root(self):
+        assert rebuild(text("x"), None) == text("x")
+        assert self.record(text("x"), lambda n: text("y")) == (text("y"), [("leaf", text("x"))])
 
 
 class TestNodeEqual:

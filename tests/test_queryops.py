@@ -273,6 +273,16 @@ class TestDeepChain:
         assert len(found) == depth + 1
         assert found[0] is chain and found[-1].children == ()
 
+    def test_descendant_or_self_by_name_walks_a_100000_deep_chain(self):
+        depth = 100_000
+        chain = text("t")
+        for i in range(depth):
+            chain = element("ab"[i % 2], [], [element("c"), chain, text("u")])
+        assert len(list(descendant_or_self_by_name(chain, "a"))) == depth // 2
+        assert len(list(descendant_or_self_by_name(chain, None))) == 2 * depth
+        assert list(eval_path(chain, parse_path_text("//c#1"))) == [element("c")]
+        assert list(eval_path(chain, parse_path_text("//d"))) == []
+
     def test_lvl_finds_the_leaf_of_a_10000_deep_chain(self):
         depth = 10_000
         chain = text("x")

@@ -58,6 +58,14 @@ class TestParse:
         doc = parse("<a><!--note--><?tgt data?></a>")
         assert doc == element("a", [], [comment("note"), pi("tgt data")])
 
+    def test_a_long_text_run_is_one_text_node(self):
+        # Expat hands over character data in pieces of at most 8192
+        # characters; the pieces of one run make one text node.
+        content = "x&" * 5000
+        assert parse("<a>" + content.replace("&", "&amp;") + "</a>") == element("a", [], [text(content)])
+        doc = parse("<a>" + "y" * 50_000 + "<![CDATA[<z>]]>w<b/>" + "v&lt;" * 5000 + "<!--c--></a>")
+        assert doc == element("a", [], [text("y" * 50_000 + "<z>w"), element("b"), text("v<" * 5000), comment("c")])
+
     def test_whitespace_only_text_preserved(self):
         doc = parse("<a>\n  <b/>\n</a>")
         assert doc == element("a", [], [text("\n  "), element("b"), text("\n")])
@@ -115,6 +123,11 @@ class TestRoundTrip:
 
     def test_carriage_return_and_tab_round_trip(self):
         doc = element("a", [("k", "x\ty\nz\r")], [text("a\rb\tc")])
+        assert parse(serialize(doc)) == doc
+
+    def test_text_only_element_with_every_escaped_character(self):
+        doc = element("a", [], [text("&<>\r x &amp; \r\n")])
+        assert serialize(doc) == "<a>&amp;&lt;&gt;&#13; x &amp;amp; &#13;\n</a>"
         assert parse(serialize(doc)) == doc
 
     def test_raw_cdata_terminator_in_text(self):
