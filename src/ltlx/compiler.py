@@ -14,9 +14,12 @@ reads index paths against.
 - Variables live in Python locals.  A local holds what the binding dict
   of a Prolog environment would hold under that name, or None while the
   variable is free; a binding may be a term whose variables are bound in
-  turn (triangular bindings).  A binding dict is built only where a goal
-  is handed to `_unify`, `_match` or `term_to_node`, and what they bind
-  is read back into locals.
+  turn (triangular bindings).  A variable bound at a known position holds
+  the raw value there instead of a term (see `_TERMS`): a name or string
+  as a `str`, an attribute list or hedge as the tuple or list it came
+  from, a `text(V)` content as the Text node itself.  The term is built
+  only where a goal is handed to `_unify`, `_match` or `term_to_node`,
+  in the binding dict made for it; what they bind is read back.
 - A pattern that meets a ground value (the head, a template/2 result, or
   the term an `=` goal compares with a variable bound to a node) is
   matched in place.  Level by level, it first tests what can be read off
@@ -27,19 +30,25 @@ reads index paths against.
   whose binding may hold free variables, goes to `_match` whole.
 - An `=` goal that binds a fresh variable to a term is an assignment,
   and one that compares a ground binding with a term that binds nothing
-  is a test; any other goes to `_unify`.
-- A transform goal loops over `_path_values`, which runs the path through
-  `eval_path`, stands an element result for its text children when the
-  rule set coerces text, and stops after the first value in
-  first-solution mode.
+  is a test, of the raw string where the binding holds one; any other
+  goes to `_unify`.
+- A transform goal whose path is at most three `/name` or `child` steps,
+  then maybe `@name` or `#`, is inlined: a loop per step over
+  `children`, a scan of `attributes`, a loop over text children.  The
+  loops keep `eval_path`'s order and `step k (...)` errors, stand an
+  element result for its text children under coercion (`_values`), and
+  break after the first value in first-solution mode.  Any other path
+  loops over `_path_values`, which runs `eval_path`.
 - A template/2 goal is one call back into `engine._emit`.
 - not(g) is a function of its own that says whether g has a solution;
   so is the rest of a body nested too deep in transform loops.
-- The output is built by direct `Element` and `Text` calls that share
-  the bound subtrees.  A variable bound by a pattern holds what its
-  position there says; any other is type-checked first.  When a check
-  fails, or the output has a part the builder does not specialise,
-  `term_to_node` builds the whole hedge instead and raises its errors.
+- The output is built by direct `Element` and leaf calls that share the
+  bound values: a bound subtree, attribute tuple or hedge is passed as
+  it is, and `text(V)` is V's Text node when V holds one.  A binding of
+  unknown kind is type-checked first.  When a check fails, a binding is
+  of another kind than its position reads, or the output has a part the
+  builder does not specialise, `term_to_node` builds the whole hedge
+  instead and raises its errors.
 
 Errors keep the types and messages of the helpers they come from.  The
 index maps an element name or a leaf type to the rules whose head can
@@ -60,7 +69,17 @@ from typing import Callable, Iterator
 from .engine import _emit
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from .nodes import Attribute, Comment, Element, Hedge, Node, PI, Text, unique_attributes
-from .queryops import ALL_SOLUTIONS, FIRST_ONLY, PathExpr, Result, _coerced_text, eval_path
+from .queryops import (
+    ALL_SOLUTIONS,
+    FIRST_ONLY,
+    AttrValue,
+    ChildNamed,
+    Children,
+    PathExpr,
+    Result,
+    TextValue,
+    eval_path,
+)
 from .rules import ApplyTemplates, Goal, Not, Rule, Transform, Unify
 from .terms import (
     _LEAF_FUNCTORS,
@@ -85,15 +104,35 @@ Compiled = tuple[Rule, Callable]  # (rule, run)
 
 _NODE_TYPES = frozenset((Element, Text, PI, Comment))
 
-# Transform loops one generated function may nest; a deeper rest of the
-# body continues in a function of its own.  CPython allows 20 nested blocks.
-_MAX_LOOPS = 12
+# The steps an inlined path chains, at most _MAX_NODE_STEPS of them,
+# before an optional @name or # step.  So a transform goal opens at most
+# _MAX_NODE_STEPS + 1 loops, and one that might nest more than _MAX_LOOPS
+# continues in a function of its own.  CPython allows 20 nested blocks.
+_NODE_STEPS = (ChildNamed, Children)
+_MAX_NODE_STEPS = 3
+_MAX_LOOPS = 16
 
-# What a builder needs of a variable at an output position, keyed by that
-# position's kind (the kind a pattern variable gets from its binding
-# position): how to read the binding, and the test that finds a binding
-# of unknown kind unfit to be read that way.
-_NEEDS = {
+# What a local holds, by the kind of its variable's binding: the
+# expression of the term it stands for.  Kind None is a term of any kind.
+# Kinds missing here ("node", "attr" and None) hold the term itself.
+_TERMS = {
+    "Atom": "Atom({})",  # the name
+    "Str": "Str({})",  # the string
+    "Text": "Str({}.content)",  # the leaf that holds the string
+    "PI": "Str({}.content)",
+    "Comment": "Str({}.content)",
+    "attrs": "Seq({})",  # an element's attribute tuple
+    "hedge": "Seq({})",  # a tuple or list of nodes
+}
+
+# How a binding of a known kind is read where a position needs a value
+# of kind `need`, keyed (kind, need); and how a term of unknown kind is
+# read there, with the test that finds it unfit, keyed by need.
+_READS = {
+    **{(kind, kind): "{}" for kind in ("node", "attr", "Atom", "Str", "attrs", "hedge")},
+    **{(leaf, "Str"): "{}.content" for leaf in ("Text", "PI", "Comment")},
+}
+_UNFIT = {
     "node": ("{}", "type({}) not in NODES"),
     "Atom": ("{}.text", "type({}) is not Atom"),
     "Str": ("{}.text", "type({}) is not Str"),
@@ -101,6 +140,11 @@ _NEEDS = {
     "attrs": ("{}.items", "not _all({}, ATTRIBUTES)"),
     "hedge": ("{}.items", "not _all({}, NODES)"),
 }
+
+
+def _term(kind: str | None, local: str) -> str:
+    """The expression of the term that `local`, of this kind, stands for."""
+    return _TERMS.get(kind, "{}").format(local)
 
 
 def _all(seq: object, types: frozenset) -> bool:
@@ -129,29 +173,32 @@ def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
         raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
 
 
-def _path_values(
-    node: Node, path: PathExpr, coerce: bool, root: Node, first: bool
-) -> Iterator[Result]:
-    """The values a transform goal offers, one per solution: an element
-    result stands for its direct text children when coercion is on."""
-    values = (
-        value
-        for result in eval_path(node, path, ALL_SOLUTIONS, coerce, root)
-        for value in (
-            _coerced_text(result) if coerce and isinstance(result, Element) else (result,)
-        )
-    )
+def _values(result: Result, coerce: bool) -> tuple[Term, ...] | list[Term]:
+    """The terms one path result offers a transform goal, one per solution:
+    an element stands for its direct text children when coercion is on."""
+    kind = type(result)
+    if kind is Element:
+        return [Str(c.content) for c in result.children if type(c) is Text] if coerce else (result,)
+    if kind is str:
+        return (Str(result),)
+    if kind is int:
+        return (Int(result),)
+    if kind is tuple:
+        return (Seq(tuple(Int(k) for k in result)),)
+    return (result,)
+
+
+def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node, first: bool) -> Iterator[Term]:
+    """The terms a transform goal whose path is not inlined offers."""
+    results = eval_path(node, path, ALL_SOLUTIONS, coerce, root)
+    values = (value for result in results for value in _values(result, coerce))
     return islice(values, 1) if first else values
 
 
-def _result_to_term(result: Result) -> Term:
-    if isinstance(result, str):
-        return Str(result)
-    if isinstance(result, int):
-        return Int(result)
-    if isinstance(result, tuple):
-        return Seq(tuple(Int(k) for k in result))
-    return result
+def _inlined(path: PathExpr) -> bool:
+    """Whether a transform goal runs `path` in loops of its own."""
+    steps = path.steps[:-1] if type(path.steps[-1]) in (AttrValue, TextValue) else path.steps
+    return len(steps) <= _MAX_NODE_STEPS and all(type(step) in _NODE_STEPS for step in steps)
 
 
 def _key(head: Term) -> object:
@@ -187,10 +234,11 @@ _NAMESPACE = {
     **{cls.__name__: cls for cls in (Atom, Attribute, Comment, Element, Int, PI, Seq, Str, Text)},
     **{
         f.__name__: f
-        for f in (_all, _bound_node, _emit, _interpret, _match, _path_values, _result_to_term)
-        + (_unify, unique_attributes)
+        for f in (_all, _bound_node, _emit, _interpret, _match, _path_values, _unify, _values)
+        + (unique_attributes,)
     },
     "InstantiationError": InstantiationError,
+    "TypeMismatchError": TypeMismatchError,
     "ATTRIBUTES": frozenset((Attribute,)),
     "NODES": _NODE_TYPES,
     "FIRST_ONLY": FIRST_ONLY,
@@ -217,12 +265,16 @@ class _Source:
 class _Binding:
     """Where a variable's binding lives while a function runs: its local;
     whether that is surely not None; whether the binding is ground (holds
-    no variables); and the kind of its binding position, if known."""
+    no variables); and its kind (see `_TERMS`), if known."""
 
     __slots__ = ("local", "sure", "ground", "kind")
 
     def __init__(self, local: str, sure: bool, ground: bool, kind: str | None):
         self.local, self.sure, self.ground, self.kind = local, sure, ground, kind
+
+    def term(self) -> str:
+        """The expression of the term the binding stands for."""
+        return _term(self.kind, self.local)
 
 
 class _Unspecialised(Exception):
@@ -253,13 +305,16 @@ class _Pattern:
         return lines
 
     def var(self, p: Var, kind: str, value: str) -> None:
+        """Bind `p` to `value`, the raw value of its kind, or compare it there."""
         known = self.bound.get(p.name) or self.scope.get(p.name)
         if known is None:
-            local = self.src.local()
-            self.binds.append(f"{local} = {value}")
+            local = value
+            if not value.isidentifier():
+                local = self.src.local()
+                self.binds.append(f"{local} = {value}")
             self.bound[p.name] = _Binding(local, True, True, kind)
         elif known.sure and known.ground:
-            self.checks.append(f"_match({known.local}, {value}, {{}})")
+            self.checks.append(f"_match({known.term()}, {_term(kind, value)}, {{}})")
         else:
             raise _Unspecialised
 
@@ -274,7 +329,10 @@ class _Pattern:
         elif leaf is not None:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is {leaf.__name__}"))
-            self.scalar(p.args[0], f"{e}.content", Str, level)
+            if type(p.args[0]) is Var:
+                self.var(p.args[0], leaf.__name__, e)  # the leaf holds the string
+            else:
+                self.scalar(p.args[0], f"{e}.content", Str, level)
         elif type(p) is Var:
             self.var(p, "node", value)
         elif type(p) is not Anonymous:
@@ -284,7 +342,7 @@ class _Pattern:
         if type(p) is kind:
             self.guards.append((level, 0, f"{value} == {p.text!r}"))
         elif type(p) is Var:
-            self.var(p, kind.__name__, f"{kind.__name__}({value})")
+            self.var(p, kind.__name__, value)
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
@@ -295,7 +353,7 @@ class _Pattern:
             for i, q in enumerate(p.items):
                 item(q, f"{s}[{i}]", level + 1)
         elif type(p) is Var:
-            self.var(p, kind, f"Seq({value})")
+            self.var(p, kind, value)
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
@@ -318,15 +376,18 @@ class _Output:
         self.body: list[str] = []
         self.unfit: list[str] = []
 
-    def lines(self, output: tuple[Term, ...], deliver: str, env: Callable[[], list[str]]) -> list[str]:
-        """Statements that deliver the hedge (`deliver` formats its expression);
-        `env()` gives the statements that set `env` for `term_to_node`."""
-        fallback = [*env(), deliver.format("_interpret(OUTPUT, env, LABEL)")]
+    def lines(self, output: tuple[Term, ...], env: Callable[[], list[str]]) -> list[str]:
+        """Statements that append the hedge to `out`; `env()` gives the
+        statements that set `env` for `term_to_node`."""
+        fallback = [*env(), "out += _interpret(OUTPUT, env, LABEL)"]
         try:
-            hedge = "(" + "".join(f"{self.node(t)}, " for t in output) + ")"
+            nodes = [self.node(t) for t in output]
         except _Unspecialised:
             return fallback
-        built = [*self.body, deliver.format(hedge)]
+        if len(nodes) == 1:
+            built = [*self.body, f"out.append({nodes[0]})"]
+        else:
+            built = [*self.body, "out += (" + "".join(f"{node}, " for node in nodes) + ")"]
         if not self.unfit:
             return built
         indent = lambda lines: ["    " + line for line in lines]  # noqa: E731
@@ -337,11 +398,15 @@ class _Output:
         known = self.scope.get(name)
         if known is None:
             raise _Unspecialised  # a free variable: term_to_node reports it
-        read, unfit = _NEEDS[need]
-        if known.kind != need:
-            test = unfit.format(known.local)
-            if test not in self.unfit:
-                self.unfit.append(test)
+        read = _READS.get((known.kind, need))
+        if read is not None:
+            return read.format(known.local)
+        if known.kind is not None:
+            raise _Unspecialised  # a binding of another kind: term_to_node takes it or reports it
+        read, unfit = _UNFIT[need]
+        test = unfit.format(known.local)
+        if test not in self.unfit:
+            self.unfit.append(test)
         return read.format(known.local)
 
     def scalar(self, t: Term, kind: type) -> str:
@@ -358,7 +423,11 @@ class _Output:
             raise _Unspecialised
         leaf = _LEAF_FUNCTORS.get(t.functor) if len(t.args) == 1 else None
         if leaf is not None:
-            return f"{leaf.__name__}({self.scalar(t.args[0], Str)})"
+            content = t.args[0]
+            known = self.scope.get(content.name) if type(content) is Var else None
+            if known is not None and known.kind == leaf.__name__:
+                return known.local  # the bound leaf itself
+            return f"{leaf.__name__}({self.scalar(content, Str)})"
         if t.functor != "element" or len(t.args) != 3:
             raise _Unspecialised
         name_term, attrs, children = t.args
@@ -416,6 +485,14 @@ class _Function:
         """The statement that backtracks: to the innermost loop, or out."""
         return "continue" if self.loops else f"return {self.no_solution}"
 
+    def loop(self, header: str) -> None:
+        """Open a loop; the statements emitted next run once per pass."""
+        if not self.loops:
+            self.emit("found = False")
+        self.emit(header)
+        self.depth += 1
+        self.loops += 1
+
 
 Scope = dict[str, _Binding]
 
@@ -472,9 +549,9 @@ class _Rule:
         return True
 
     def env(self, scope: Scope, names: set[str]) -> list[str]:
-        """Statements that set `env` to the bindings of `names`."""
+        """Statements that set `env` to the bindings of `names`, as terms."""
         chosen = [name for name in sorted(scope) if name in names]
-        sure = ", ".join(f"{name!r}: {scope[name].local}" for name in chosen if scope[name].sure)
+        sure = ", ".join(f"{name!r}: {scope[name].term()}" for name in chosen if scope[name].sure)
         lines = [f"env = {{{sure}}}"]
         for name in chosen:
             if not scope[name].sure:
@@ -506,7 +583,7 @@ class _Rule:
         a binding may hold, so that a variable outside both is fresh.
         """
         for i, goal in enumerate(goals):
-            if isinstance(goal, Transform) and fn.loops >= _MAX_LOOPS:
+            if isinstance(goal, Transform) and fn.loops + _MAX_NODE_STEPS + 1 > _MAX_LOOPS:
                 rest = self.segment("more", scope, "None")
                 self.goals(rest, goals[i:], dict(scope), set(mentioned), succeed)
                 self.finish(rest, "found")
@@ -529,17 +606,17 @@ class _Rule:
     def succeed(self, fn: _Function, scope: Scope, mentioned: set[str]) -> None:
         roots = set().union(*map(variables_of, self.rule.output)) | mentioned
         output = _Output(self.src, scope)
-        fn.emit(*output.lines(self.rule.output, "out += {}", lambda: self.env(scope, roots)))
+        fn.emit(*output.lines(self.rule.output, lambda: self.env(scope, roots)))
         fn.emit("found = True" if fn.loops else "return True")
 
     def segment(self, kind: str, scope: Scope, no_solution: str) -> _Function:
         """A function for part of the body; it takes the current locals."""
-        params = ["rs", "R", "C", "FIRST", "out", *(scope[name].local for name in sorted(scope))]
+        params = ["rs", "R", "C", "FIRST", "out", *_locals(scope)]
         return _Function(f"{kind}{self.src.local()}", params, no_solution)
 
     def call(self, fn: _Function, scope: Scope) -> str:
         moded = "C, FIRST" if self.moded else "None, None"
-        locals_ = "".join(f"{scope[name].local}, " for name in sorted(scope))
+        locals_ = "".join(f"{local}, " for local in _locals(scope))
         return f"{fn.name}(rs, R, {moded}, out, {locals_})"
 
     def unify(self, fn: _Function, goal: Unify, scope: Scope, mentioned: set[str]) -> None:
@@ -569,18 +646,23 @@ class _Rule:
         if not (known.sure and known.ground):
             return False
         if not variables_of(other):  # a test: nothing can be bound
-            fn.emit(f"if not {self.test(known.local, other)}:", f"    {fn.fail()}")
+            fn.emit(f"if not {self.test(known, other)}:", f"    {fn.fail()}")
             return True
         # A node meets the term as its pattern.
         return known.kind == "node" and self.match(fn, scope, other, known.local, _Pattern.node)
 
-    def test(self, local: str, term: Term) -> str:
-        """Whether the ground binding in `local` unifies with `term`, which has no variables."""
+    def test(self, known: _Binding, term: Term) -> str:
+        """Whether the ground binding `known` unifies with `term`, which has no variables."""
+        local = known.local
         if type(term) in (Atom, Str):
-            return f"(type({local}) is {type(term).__name__} and {local}.text == {term.text!r})"
-        if type(term) is Int:
+            read = _READS.get((known.kind, type(term).__name__))
+            if read is not None:
+                return f"{read.format(local)} == {term.text!r}"
+            if known.kind is None:
+                return f"(type({local}) is {type(term).__name__} and {local}.text == {term.text!r})"
+        elif type(term) is Int and known.kind is None:
             return f"(type({local}) is Int and {local}.value == {term.value!r})"
-        return f"_unify({local}, {self.src.const(term)}, {{}})"
+        return f"_unify({known.term()}, {self.src.const(term)}, {{}})"
 
     def node_of(self, fn: _Function, term: Term, scope: Scope, mentioned: set[str], what: str) -> str:
         """A local holding the node `term` denotes, for a goal that needs one."""
@@ -590,7 +672,7 @@ class _Rule:
         node = self.src.local()
         resolve = self.env(scope, variables_of(term) | mentioned)
         resolve.append(f"{node} = _bound_node(env, {self.src.const(term)}, {what!r})")
-        if known is not None:  # a binding that may be a node already
+        if known is not None and known.kind is None:  # a term that may be a node already
             fn.emit(f"{node} = {known.local}", f"if type({node}) not in NODES:")
             resolve = ["    " + line for line in resolve]
         fn.emit(*resolve)
@@ -607,23 +689,70 @@ class _Rule:
             fn.emit(f"if {scope[start].local} is None:")
             fn.emit(f"    raise InstantiationError({message!r})")
         node = self.node_of(fn, Var(start), scope, mentioned, f"transform path start {start}")
-        value = self.src.local()
-        if not fn.loops:
-            fn.emit("found = False")
-        fn.emit(f"for {value} in _path_values({node}, {self.src.const(goal.path)}, C, R, FIRST):")
-        fn.depth += 1
-        fn.loops += 1
-        result, term = goal.result, f"_result_to_term({value})"
+        if _inlined(goal.path):
+            value, kind = self.path(fn, goal.path, node)
+        else:
+            value, kind = self.src.local(), None
+            fn.loop(f"for {value} in _path_values({node}, {self.src.const(goal.path)}, C, R, FIRST):")
+        result = goal.result
         known = scope.get(result.name) if type(result) is Var else None
         if type(result) is Var and known is None:
-            local = self.src.local()
-            fn.emit(f"{local} = {term}")
-            scope[result.name] = _Binding(local, True, True, None)
+            scope[result.name] = _Binding(value, True, True, kind)
         elif type(result) is Var and known.sure and known.ground:
-            fn.emit(f"if not _match({known.local}, {term}, {{}}):", f"    {fn.fail()}")
+            strings = _READS.get((known.kind, "Str")), _READS.get((kind, "Str"))
+            if None in strings:
+                test = f"_match({known.term()}, {_term(kind, value)}, {{}})"
+            else:
+                test = f"{strings[0].format(known.local)} == {strings[1].format(value)}"
+            fn.emit(f"if not {test}:", f"    {fn.fail()}")
         elif type(result) is not Anonymous:
-            self.interpreted(fn, scope, mentioned, "_match", result, term)
+            self.interpreted(fn, scope, mentioned, "_match", result, _term(kind, value))
         return True
+
+    def path(self, fn: _Function, path: PathExpr, node: str) -> tuple[str, str | None]:
+        """Open the loops of an inlined path from `node`: the local that holds
+        each value, and its kind.  In first-solution mode a flag set at the
+        first value breaks every loop of the path on its next pass."""
+        first = None
+
+        def loop(header: str) -> None:
+            nonlocal first
+            if first is None:
+                first = self.src.local()
+                fn.emit(f"{first} = False")
+            fn.loop(header)
+            fn.emit(f"if {first}:", "    break")
+
+        x, element = node, False  # the node the next step applies to; whether it is surely an element
+        for position, step in enumerate(path.steps, start=1):
+            if type(step) in _NODE_STEPS:
+                if not element:
+                    message = f"step {position} ({step!r}): {step.symbol} is only defined on elements, got "
+                    raise_ = f"raise TypeMismatchError({message!r} + repr({x}))"
+                    fn.emit(f"if type({x}) is not Element:", f"    {raise_}")
+                child = self.src.local()
+                loop(f"for {child} in {x}.children:")
+                if type(step) is ChildNamed:
+                    test = f"type({child}) is not Element or {child}.name != {step.name!r}"
+                    fn.emit(f"if {test}:", "    continue")
+                x, element = child, type(step) is ChildNamed
+            elif type(step) is AttrValue:
+                a, value, kind = self.src.local(), self.src.local(), "Str"
+                if not element:
+                    fn.emit(f"if type({x}) is not Element:", f"    {fn.fail()}")
+                fn.emit(f"for {a} in {x}.attributes:", f"    if {a}.name == {step.name!r}:", "        break")
+                fn.emit("else:", f"    {fn.fail()}", f"{value} = {a}.value")
+            else:  # the text step: an element's text children under coercion, or a text node itself
+                value, kind = self.src.local(), "Text"
+                texts = f"{x}.children if C" + ("" if element else f" and type({x}) is Element")
+                loop(f"for {value} in ({texts} else ({x},)):")
+                fn.emit(f"if type({value}) is not Text:", "    continue")
+        if type(path.steps[-1]) in _NODE_STEPS:
+            value, kind = self.src.local(), None
+            loop(f"for {value} in _values({x}, C):")
+        if first is not None:
+            fn.emit(f"{first} = FIRST")
+        return value, kind
 
     def template(self, fn: _Function, goal: ApplyTemplates, scope: Scope, mentioned: set[str]):
         node = self.node_of(fn, goal.node, scope, mentioned, "template goal node")
@@ -631,6 +760,12 @@ class _Rule:
         fn.emit(f"{hedge} = []", f"_emit(rs, {node}, R, {hedge})")
         if not self.match(fn, scope, goal.result, hedge, _hedge):
             self.interpreted(fn, scope, mentioned, "_match", goal.result, f"Seq({hedge})")
+
+
+def _locals(scope: Scope) -> list[str]:
+    """The locals that hold the bindings in `scope`, each once (two
+    variables bound to one value share its local)."""
+    return list(dict.fromkeys(scope[name].local for name in sorted(scope)))
 
 
 def _found(fn: _Function, scope: Scope, mentioned: set[str]) -> None:

@@ -153,6 +153,9 @@ class CountChildren(Step):
 
 
 class Lvl(Step):
+    """`apply` looks up one context node; eval_path runs a stream of them
+    through `_Occurrences`, which walks the document once for all."""
+
     __slots__ = ()
     symbol = "lvl"
     yields_values = True
@@ -377,6 +380,82 @@ def _size(node: Element, sizes: dict[int, int]) -> int:
             size += inner
 
 
+class _Occurrences:
+    """The lvl step's `apply` for one application of the step to a stream.
+
+    The first context node is looked up by `lvl`'s own walk, so a lone
+    context node costs what `lvl` costs.  The second one files every node
+    of the document under a hash of its subtree, in one walk; from then
+    on a context node is compared only with the nodes filed under its
+    hash, and one equal to a context node met before gets that one's
+    answer.  So k context nodes cost one walk, not k.
+    """
+
+    def __init__(self) -> None:
+        self.filed: dict[int, list] | None = None  # None before the first context node
+        self.hashes: dict[int, tuple[Element, int]] = {}
+        self.answers: dict[int, list[tuple[Node, list[IndexPath]]]] = {}
+
+    def __call__(self, node: Node, coerce_text: bool, root: Node) -> Iterable[IndexPath]:
+        if self.filed is None:
+            self.filed = {}
+            return lvl(root, node)
+        if not self.filed:
+            _subtree_hash(root, self.hashes, self.filed)
+        h = _subtree_hash(node, self.hashes, {})  # a node outside the document is filed apart
+        answers = self.answers.setdefault(h, [])
+        for seen, paths in answers:
+            if node_equal(seen, node):
+                return paths
+        paths = [_index_path(at) for other, at in self.filed.get(h, ()) if node_equal(other, node)]
+        answers.append((node, paths))
+        return paths
+
+
+def _subtree_hash(node: Node, hashes: dict, filed: dict) -> int:
+    """A hash of the subtree at `node`, the same for equal subtrees, by one
+    walk on an explicit stack.  `hashes` keeps each element's hash by id,
+    with the element, so that the id stays its own; an element found
+    there is not walked again.
+
+    The walk files every node of the subtree in `filed` under its hash,
+    with its position: (parent's position, child index), None for `node`.
+    Nodes are filed in post-order, which orders equal nodes, none of which
+    lies inside another, as document order does.
+    """
+    if type(node) is not Element:
+        return hash((type(node), node.content))
+    if id(node) in hashes:
+        return hashes[id(node)][1]
+    stack = []  # the open ancestors of `e`, each with its position, iterator and child hashes
+    e, at, pending, kids = node, None, enumerate(node.children, 1), []
+    while True:
+        for k, child in pending:
+            if type(child) is Element:
+                stack.append((e, at, pending, kids))
+                e, at, pending, kids = child, (at, k), enumerate(child.children, 1), []
+                break
+            h = hash((type(child), child.content))
+            filed.setdefault(h, []).append((child, (at, k)))
+            kids.append(h)
+        else:
+            h = hash((e.name, e.attributes, tuple(kids)))
+            hashes[id(e)] = (e, h)
+            filed.setdefault(h, []).append((e, at))
+            if not stack:
+                return h
+            e, at, pending, kids = stack.pop()
+            kids.append(h)
+
+
+def _index_path(at: tuple | None) -> IndexPath:
+    path = []
+    while at is not None:
+        at, k = at
+        path.append(k)
+    return tuple(reversed(path))
+
+
 class Up(Value):
     __slots__ = ()
 
@@ -494,10 +573,11 @@ def _apply_step(
                 yield item
                 return
         return
+    apply = _Occurrences() if type(step) is Lvl else step.apply
     for item in stream:
         try:
             if not isinstance(item, (Element, Text, PI, Comment)):
                 raise TypeMismatchError(f"needs a node, got {item!r}")
-            yield from step.apply(item, coerce_text, root)
+            yield from apply(item, coerce_text, root)
         except TypeMismatchError as exc:
             raise TypeMismatchError(f"step {position} ({step!r}): {exc}") from None

@@ -188,6 +188,26 @@ class TestTransform:
         assert code == EXIT_OK
         assert out == "<ul><li>one</li><li>two</li></ul>\n"
 
+    @pytest.mark.parametrize(
+        "options, dishes",
+        [
+            ((), "<hot>Chili</hot>"),
+            (("--solutions", "all"), "<hot>Chili</hot><hot>Curry</hot>"),
+            (("--no-coerce-text",), ""),  # /name# reads no text from an element
+        ],
+    )
+    def test_attr_guard_sample(self, options, dishes):
+        # An @flag guard, a /name# goal and a text(N) passthrough, as CI runs them.
+        code, out, err = invoke(
+            "transform",
+            *options,
+            "-r",
+            str(SAMPLES / "attr_guard" / "rules.ltl"),
+            str(SAMPLES / "attr_guard" / "input.xml"),
+        )
+        expected = f"<menu><h1>Menu</h1><ul>{dishes}<dish>Soup</dish><dish>Bread</dish></ul></menu>\n"
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
     def test_attribute_guard_skips_text_nodes(self, xml_file, tmp_path):
         # A variable head meets the text node too; @flag finds nothing there.
         rules = tmp_path / "guard.ltl"

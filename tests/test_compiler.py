@@ -5,12 +5,15 @@ each is generated as a function of its own (`compiled_parts`).  The
 head matcher must bind what `terms.match(head, node)` binds, or fail
 where it fails; the output builder must build what `term_to_node`
 builds from the same bindings, or raise the same exception with the
-same message.  Heads are abstracted from random
+same message.  A local holds a raw value (a str, a tuple, a leaf node)
+where its kind says so; `compiled_parts` converts between those and the
+terms `match` binds.  Heads are abstracted from random
 documents (`conftest.abstract`), with repeated variables, `_`,
 attribute-list variables and name=V items, and some get a random term
 grafted in where no node position can take it.  The other tests pin
 the index's source order and red cut, rule text that could break
-generated source, and the file name that tracebacks show.
+generated source, the file name that tracebacks show, and which goals
+and outputs are specialised, read off the generated source.
 """
 
 import random
@@ -34,25 +37,42 @@ from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, match, term_to_node,
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+# The raw value a local of each kind holds, from the term `match` binds.
+RAW = {
+    "Atom": lambda t: t.text,
+    "Str": lambda t: t.text,
+    "Text": lambda t: Text(t.text),
+    "PI": lambda t: PI(t.text),
+    "Comment": lambda t: Comment(t.text),
+    "attrs": lambda t: t.items,
+    "hedge": lambda t: t.items,
+}
+
+
 def compiled_parts(rule):
     """The head matcher and the output builder that `rule`'s function
     inlines, generated by the same code as functions of their own: the
-    matcher returns the head's bindings as a dict, or None, and the
-    builder builds the output from such a dict."""
+    matcher returns the head's bindings as a dict of terms, or None, and
+    the builder builds the output from such a dict."""
     generated = _Rule(rule)
     generated.src.namespace["LABEL"] = ""  # the builder reports no rule, as term_to_node does
+    generated.src.namespace["RAW"] = RAW
     match = _Function("match", ["n"], "None")
     scope = {}
     generated.head(match, scope)
-    pairs = "".join(f"({name!r}, {b.local}), " for name, b in sorted(scope.items()))
-    match.emit(f"return {{name: v for name, v in ({pairs}) if v is not None}}")
+    pairs = "".join(f"({name!r}, {b.local}, {b.term()}), " for name, b in sorted(scope.items()))
+    match.emit(f"return {{name: t for name, v, t in ({pairs}) if v is not None}}")
     build = _Function("build", ["theta"], "None")
     known = {}
     for name in sorted(set().union(*map(variables_of, rule.output))):
         head = scope.get(name)
         known[name] = _Binding(generated.src.local(), head is not None, head is not None, head and head.kind)
         build.emit(f"{known[name].local} = theta.get({name!r})")
-    build.emit(*_Output(generated.src, known).lines(rule.output, "return {}", lambda: ["env = theta"]))
+        if head is not None and head.kind in RAW:
+            build.emit(f"{known[name].local} = RAW[{head.kind!r}]({known[name].local})")
+    build.emit("out = []")
+    build.emit(*_Output(generated.src, known).lines(rule.output, lambda: ["env = theta"]))
+    build.emit("return tuple(out)")
     source = "\n".join(match.lines + build.lines)
     exec(compile(source, f"<ltlx {rule.label}>", "exec"), generated.src.namespace)
     return generated.src.namespace["match"], generated.src.namespace["build"]
@@ -405,3 +425,68 @@ def test_long_bodies_paths_and_nested_nots_compile_and_agree_with_the_reference(
     assert apply_templates(rules, doc) == (
         element("o", [], [text("1"), text("1"), text("1")]), text("deep"), element("n")
     )
+
+
+# --- what the compiler specialises --------------------------------------------
+
+# Rules of the benchmark's catalog rule set, copied.
+FLAG_RULE = (
+    "template(X,[element(flagged,[],[text(N)])]):-\n"
+    '   transform(X@flag,F),F="hot",transform(X/name#,N).'
+)
+HEADER_RULE = "template(element(header,_,[text(T)]),[element(h1,[],[text(T)])])."
+PRICE_RULE = (
+    "template(element(item,A,[element(name,_,[text(N)]),element(price,_,[text(P)])]),\n"
+    "   [element(row,A,[element(n,[],[text(N)]),element(p,[],[text(P)])])])."
+)
+
+
+def generated_source(text):
+    return _Rule(parse_rules(text).rules[0]).source()
+
+
+def test_node_local_paths_and_bound_leaves_are_inlined():
+    flag = generated_source(FLAG_RULE)
+    assert "_path_values(" not in flag and "eval_path" not in flag
+    assert "Str(" not in flag  # F="hot" compares the attribute's str, N is its text node
+    for passthrough in (HEADER_RULE, PRICE_RULE):
+        source = generated_source(passthrough)
+        assert "Str(" not in source and "Text(" not in source and "Seq(" not in source, source
+    # The row's attribute list is the item's own tuple, unchecked, and a one-node hedge is appended.
+    price = generated_source(PRICE_RULE)
+    assert ".items" not in price and "unique_attributes" not in price
+    assert "out.append(" in generated_source(HEADER_RULE)
+
+
+@pytest.mark.parametrize("path", ["X//name#", "X/name#1", "X lvl", 'X id("1")', "X/a/b/c/d#", "X count"])
+def test_other_paths_still_run_through_eval_path(path):
+    source = generated_source(f"template(X,[element(o,[],[])]):-transform({path},V).")
+    assert "_path_values(" in source
+
+
+def test_inlined_paths_keep_eval_path_results_in_both_modes():
+    rules = parse_rules(FLAG_RULE + "\n" + HEADER_RULE + "\n" + PRICE_RULE)
+    doc = parse(
+        '<c><header>H</header><item flag="hot"><name>a</name><name>b</name><price>1</price></item>'
+        '<item sku="s" flag="cold"><name>c</name><price>2</price></item><item flag="hot"/></c>'
+    )
+    first = "<h1>H</h1><flagged>a</flagged>"
+    row = '<row sku="s" flag="cold"><n>c</n><p>2</p></row>'
+    for mode, flagged in ((FIRST_ONLY, ""), (ALL_SOLUTIONS, "<flagged>b</flagged>")):
+        moded = rules.with_options(solution_mode=mode)
+        hedge = apply_templates(moded, doc)
+        assert "".join(map(serialize, hedge)) == first + flagged + row
+        assert hedge == reference_engine.apply_templates(moded, doc)
+    header = apply_templates(rules, doc)[0]
+    assert header.children[0] is doc.children[0].children[0]  # the bound text node itself
+
+
+def test_variables_that_share_a_local_pass_it_to_a_function_once():
+    # Y=X binds Y to the node X holds, in X's own local; the not/1 function
+    # and the rest of a body nested past one function's loops take it once.
+    chain = ",".join(f"transform(Y//p#,T{i})" for i in range(15))
+    rules = parse_rules(f"template(X,[text(T0)]):-Y=X,not(Y=element(q,_,_)),{chain}.")
+    doc = parse("<r><p>1</p></r>")
+    for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+        moded = rules.with_options(solution_mode=mode)
+        assert apply_templates(moded, doc) == reference_engine.apply_templates(moded, doc) == (text("1"),)

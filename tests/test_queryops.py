@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ltlx import element, eval_path, parse_path_text, text
+import reference_paths
+from ltlx import element, eval_path, parse_path_text, queryops, text
 from ltlx.errors import BadIndexPathError, TypeMismatchError
 from ltlx.nodes import Element, comment, document_order, node_count, pi
 from ltlx.queryops import (
@@ -527,6 +528,36 @@ class TestEvalPath:
             [element("a", [("i", "1")]), element("b", [], [element("a", [("i", "2")])])],
         )
         assert list(eval_path(doc, parse_path_text("//a lvl"))) == [(1,), (2, 1)]
+
+    def test_lvl_step_over_20000_siblings_walks_the_document_once(self):
+        # Each context node used to cost a walk of the whole document, so
+        # this took minutes; one walk files every node by subtree hash.
+        k = 20_000
+        doc = element("r", [], [element("p", [("i", str(i))]) for i in range(k)])
+        assert list(eval_path(doc, parse_path_text("//p lvl"))) == [(i,) for i in range(1, k + 1)]
+
+    def test_lvl_step_gives_each_context_node_every_equal_node_in_document_order(self):
+        same = element("p", [], [text("x")])
+        doc = element(
+            "r", [], [same, element("q", [], [element("p", [], [text("x")]), same]), element("p"), same]
+        )
+        # Equal context nodes, shared and distinct objects alike, get one answer.
+        expected = [(1,), (2, 1), (2, 2), (4,)]
+        found = list(eval_path(doc, parse_path_text("//p lvl")))
+        assert found == expected * 3 + [(3,)] + expected
+        assert found == list(reference_paths.eval_path(doc, parse_path_text("//p lvl")))
+        # Context nodes from outside the document are looked up in it too.
+        outside = element("o", [], [element("p", [], [text("x")]), element("q"), element("p")])
+        path = parse_path_text("child lvl")
+        found = list(eval_path(outside, path, root=doc))
+        assert found == expected + [(3,)] == list(reference_paths.eval_path(outside, path, root=doc))
+
+    def test_lvl_step_on_one_context_node_files_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(queryops, "_subtree_hash", lambda *args: calls.append(args))
+        doc = element("r", [], [element("s", [], [element("s")]), element("s")])
+        assert list(eval_path(doc, parse_path_text("//s#2 lvl"))) == [(1, 1), (2,)]
+        assert calls == []
 
     def test_id_step(self):
         doc = element("r", [("x", "7"), ("y", "7")])

@@ -228,7 +228,7 @@ def test_late_bindings_agree_with_reference(rules):
 # --- samples and benchmark rule texts ----------------------------------------
 
 
-@pytest.mark.parametrize("sample", ["item_list", "shared_child", "text_identity"])
+@pytest.mark.parametrize("sample", ["attr_guard", "item_list", "shared_child", "text_identity"])
 @pytest.mark.parametrize("coerce_text", [True, False])
 def test_samples_agree_with_reference(sample, coerce_text):
     rs = parse_rules((ROOT / "samples" / sample / "rules.ltl").read_text(encoding="utf-8"))
