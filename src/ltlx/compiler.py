@@ -26,8 +26,9 @@ reads index paths against.
   the value without binding anything: node types, element names,
   attribute and child counts, literal names and strings.  Then it binds
   the new variables.  A repeated variable is compared by `_match`.  A
-  pattern with a part that is not specialised here, or with a variable
-  whose binding may hold free variables, goes to `_match` whole.
+  head with a part that is not specialised here matches no node (see
+  `_Pattern`); another pattern with such a part, or with a variable
+  whose binding may hold free variables, goes to `_match` or `_unify`.
 - An `=` goal that binds a fresh variable to a term is an assignment,
   and one that compares a ground binding with a term that binds nothing
   is a test, of the raw string where the binding holds one; any other
@@ -35,7 +36,7 @@ reads index paths against.
 - A transform goal whose path is at most three `/name` or `child` steps,
   then maybe `@name` or `#`, is inlined: a loop per step over
   `children`, a scan of `attributes`, a loop over text children.  The
-  loops keep `eval_path`'s order and `step k (...)` errors, stand an
+  loops keep `eval_path`'s order, find nothing under a leaf, stand an
   element result for its text children under coercion (`_values`), and
   break after the first value in first-solution mode.  Any other path
   loops over `_path_values`, which runs `eval_path`.
@@ -238,7 +239,6 @@ _NAMESPACE = {
         + (unique_attributes,)
     },
     "InstantiationError": InstantiationError,
-    "TypeMismatchError": TypeMismatchError,
     "ATTRIBUTES": frozenset((Attribute,)),
     "NODES": _NODE_TYPES,
     "FIRST_ONLY": FIRST_ONLY,
@@ -284,7 +284,9 @@ class _Unspecialised(Exception):
 class _Pattern:
     """Source that matches a pattern against a ground value as `_match` does,
     binding its new variables to locals; gathered by a walk in `_match`'s
-    order."""
+    order.  A part it raises `_Unspecialised` on, other than a variable
+    bound to a non-ground term, is one that `_match` fails on: no node,
+    name, list or attribute in its position can take it."""
 
     def __init__(self, src: _Source, scope: dict[str, _Binding]):
         self.src = src
@@ -335,6 +337,8 @@ class _Pattern:
                 self.scalar(p.args[0], f"{e}.content", Str, level)
         elif type(p) is Var:
             self.var(p, "node", value)
+        elif type(p) in _NODE_TYPES:  # a node in a rule built in Python
+            self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
@@ -363,6 +367,8 @@ class _Pattern:
             self.scalar(p.args[1], f"{value}.value", Str, level)
         elif type(p) is Var:
             self.var(p, "attr", value)
+        elif type(p) is Attribute:
+            self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
@@ -509,10 +515,10 @@ class _Rule:
     def source(self) -> str:
         fn = _Function("run", ["n", "rs", "R", "out"], "None")
         scope: Scope = {}
-        self.head(fn, scope)
-        if self.moded:
-            fn.emit("C = rs.coerce_text", "FIRST = rs.solution_mode == FIRST_ONLY")
-        self.goals(fn, self.rule.goals, scope, set(), self.succeed)
+        if self.head(fn, scope):
+            if self.moded:
+                fn.emit("C = rs.coerce_text", "FIRST = rs.solution_mode == FIRST_ONLY")
+            self.goals(fn, self.rule.goals, scope, set(), self.succeed)
         self.finish(fn, "found")
         return "\n".join(line for lines in self.functions for line in lines)
 
@@ -531,11 +537,12 @@ class _Rule:
 
     # --- bindings ---
 
-    def head(self, fn: _Function, scope: Scope) -> None:
-        if not self.match(fn, scope, self.rule.head, "n", _Pattern.node):
-            fn.emit("env = {}", f"if not _match({self.src.const(self.rule.head)}, n, env):")
-            fn.emit(f"    {fn.fail()}")
-            self.read_back(fn, scope, variables_of(self.rule.head))
+    def head(self, fn: _Function, scope: Scope) -> bool:
+        """Match the head against `n`; False when no node can match it."""
+        if self.match(fn, scope, self.rule.head, "n", _Pattern.node):
+            return True
+        fn.emit(f"return {fn.no_solution}")  # the head has a part that no node takes
+        return False
 
     def match(self, fn: _Function, scope: Scope, pattern: Term, value: str, walk: Callable) -> bool:
         """Match `pattern` against the ground `value` in place, or say it cannot be."""
@@ -653,15 +660,10 @@ class _Rule:
 
     def test(self, known: _Binding, term: Term) -> str:
         """Whether the ground binding `known` unifies with `term`, which has no variables."""
-        local = known.local
         if type(term) in (Atom, Str):
             read = _READS.get((known.kind, type(term).__name__))
             if read is not None:
-                return f"{read.format(local)} == {term.text!r}"
-            if known.kind is None:
-                return f"(type({local}) is {type(term).__name__} and {local}.text == {term.text!r})"
-        elif type(term) is Int and known.kind is None:
-            return f"(type({local}) is Int and {local}.value == {term.value!r})"
+                return f"{read.format(known.local)} == {term.text!r}"
         return f"_unify({known.term()}, {self.src.const(term)}, {{}})"
 
     def node_of(self, fn: _Function, term: Term, scope: Scope, mentioned: set[str], what: str) -> str:
@@ -695,16 +697,8 @@ class _Rule:
             value, kind = self.src.local(), None
             fn.loop(f"for {value} in _path_values({node}, {self.src.const(goal.path)}, C, R, FIRST):")
         result = goal.result
-        known = scope.get(result.name) if type(result) is Var else None
-        if type(result) is Var and known is None:
+        if type(result) is Var and result.name not in scope:
             scope[result.name] = _Binding(value, True, True, kind)
-        elif type(result) is Var and known.sure and known.ground:
-            strings = _READS.get((known.kind, "Str")), _READS.get((kind, "Str"))
-            if None in strings:
-                test = f"_match({known.term()}, {_term(kind, value)}, {{}})"
-            else:
-                test = f"{strings[0].format(known.local)} == {strings[1].format(value)}"
-            fn.emit(f"if not {test}:", f"    {fn.fail()}")
         elif type(result) is not Anonymous:
             self.interpreted(fn, scope, mentioned, "_match", result, _term(kind, value))
         return True
@@ -724,12 +718,10 @@ class _Rule:
             fn.emit(f"if {first}:", "    break")
 
         x, element = node, False  # the node the next step applies to; whether it is surely an element
-        for position, step in enumerate(path.steps, start=1):
+        for step in path.steps:
+            if type(step) is not TextValue and not element:  # a leaf has no children or attributes
+                fn.emit(f"if type({x}) is not Element:", f"    {fn.fail()}")
             if type(step) in _NODE_STEPS:
-                if not element:
-                    message = f"step {position} ({step!r}): {step.symbol} is only defined on elements, got "
-                    raise_ = f"raise TypeMismatchError({message!r} + repr({x}))"
-                    fn.emit(f"if type({x}) is not Element:", f"    {raise_}")
                 child = self.src.local()
                 loop(f"for {child} in {x}.children:")
                 if type(step) is ChildNamed:
@@ -738,8 +730,6 @@ class _Rule:
                 x, element = child, type(step) is ChildNamed
             elif type(step) is AttrValue:
                 a, value, kind = self.src.local(), self.src.local(), "Str"
-                if not element:
-                    fn.emit(f"if type({x}) is not Element:", f"    {fn.fail()}")
                 fn.emit(f"for {a} in {x}.attributes:", f"    if {a}.name == {step.name!r}:", "        break")
                 fn.emit("else:", f"    {fn.fail()}", f"{value} = {a}.value")
             else:  # the text step: an element's text children under coercion, or a text node itself

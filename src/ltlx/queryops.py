@@ -5,10 +5,12 @@ count, lvl) are exposed both as standalone functions and as path steps
 that chain into a path expression; each step class holds its syntax,
 census and evaluation (see Step).  Failure of an operator is a normal
 outcome: stream operators yield nothing and scalar operators return
-None.  So the attribute steps @name and id(v) find nothing on a node
-that is not an element, as the attribute axis of XPath 1.0 does.
-Errors are reserved for type misuse, such as asking a text node for its
-children.
+None.  So every step finds nothing on a text, PI or comment node where
+an element would have children or attributes to offer, as the child
+and attribute axes of a leaf are empty in XPath 1.0.  Errors are
+reserved for type misuse: a node step after a step that yields values,
+lvl against a document root that is not an element, or a manipulation
+operator such as rem_el applied to a leaf.
 """
 
 from __future__ import annotations
@@ -217,17 +219,17 @@ def _require_element(node: Node, op: str) -> Element:
 
 
 def child_by_name(node: Node, name: str) -> Iterator[Element]:
-    """Direct child elements named `name`, in child order."""
-    e = _require_element(node, "/")
-    for child in e.children:
+    """Direct child elements named `name`, in child order; none under a leaf."""
+    for child in children(node):
         if isinstance(child, Element) and child.name == name:
             yield child
 
 
 def descendant_or_self_by_name(node: Node, name: str | None) -> Iterator[Element]:
     """Elements named `name` in the subtree rooted at `node`, itself included,
-    in document order; `name=None` matches every element."""
-    _require_element(node, "//")
+    in document order; `name=None` matches every element.  None in a leaf."""
+    if type(node) is not Element:
+        return
     if name is None or node.name == name:
         yield node
     # One iterator per open element; only elements are ever pushed.
@@ -274,9 +276,8 @@ def pi_value(node: Node) -> str | None:
 
 
 def children(node: Node) -> Iterator[Node]:
-    """All children of every variant kind, in order."""
-    e = _require_element(node, "child")
-    yield from e.children
+    """All children of every variant kind, in order; none under a leaf."""
+    return iter(node.children if isinstance(node, Element) else ())
 
 
 def descendants(node: Node) -> Iterator[Node]:

@@ -10,9 +10,14 @@ attributes, so an output shares what it bound instead of copying it.
 General unification is left for `=` goals; `_unify` hands any node or
 attribute it meets to `match`.  Bindings are a plain dict from variable
 names to terms, triangular in the engine: `_match` and `_unify` extend
-one in place, and `term_to_node` follows chains of bound variables.  The
-engine runs each rule as code compiled from it (see `compiler`); the
-parts of a rule the compiler does not specialise come here.
+one in place, and `term_to_node` resolves the chains before it builds.
+
+The engine runs each rule as code compiled from it (see `compiler`), so
+terms are built when a rule file loads and by the few goals the
+compiler does not specialise, not per node.  Only the scalar classes
+`Atom`, `Str` and `Int`, which `relalg` hashes per fact row and
+compiled code builds per path result, write `==`, `hash` and
+`__reduce__` by hand; the other term classes take them from `Value`.
 """
 
 from __future__ import annotations
@@ -28,18 +33,6 @@ from .values import Value, slot_setters
 class Var(Value):
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set_var_name(self, name)
-
-    def __eq__(self, other: object) -> bool:
-        return self.name == other.name if type(other) is Var else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
-    def __reduce__(self):
-        return Var, (self.name,)
-
     def __repr__(self) -> str:
         return self.name
 
@@ -48,18 +41,6 @@ class Anonymous(Value):
     """One occurrence of the "_" wildcard; every occurrence is distinct."""
 
     __slots__ = ("id",)
-
-    def __init__(self, id: int) -> None:
-        _set_anonymous_id(self, id)
-
-    def __eq__(self, other: object) -> bool:
-        return self.id == other.id if type(other) is Anonymous else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.id,))
-
-    def __reduce__(self):
-        return Anonymous, (self.id,)
 
     def __repr__(self) -> str:
         return "_"
@@ -125,17 +106,6 @@ class Compound(Value):
         _set_functor(self, functor)
         _set_args(self, args if type(args) is tuple else tuple(args))
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Compound:
-            return NotImplemented
-        return self.functor == other.functor and self.args == other.args
-
-    def __hash__(self) -> int:
-        return hash((self.functor, self.args))
-
-    def __reduce__(self):
-        return Compound, (self.functor, self.args)
-
     def __repr__(self) -> str:
         if self.functor == "=" and len(self.args) == 2:
             return f"{self.args[0]!r}={self.args[1]!r}"
@@ -151,21 +121,10 @@ class Seq(Value):
     def __init__(self, items: tuple[Term, ...]) -> None:
         _set_items(self, items if type(items) is tuple else tuple(items))
 
-    def __eq__(self, other: object) -> bool:
-        return self.items == other.items if type(other) is Seq else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
-
-    def __reduce__(self):
-        return Seq, (self.items,)
-
     def __repr__(self) -> str:
         return "[" + ",".join(repr(i) for i in self.items) + "]"
 
 
-(_set_var_name,) = slot_setters(Var)
-(_set_anonymous_id,) = slot_setters(Anonymous)
 (_set_text,) = slot_setters(_Text)
 (_set_int_value,) = slot_setters(Int)
 _set_functor, _set_args = slot_setters(Compound)
@@ -309,10 +268,10 @@ def match(pattern: Term, ground: Term) -> dict[str, Term] | None:
     nodes), so there is no occurs check and no chain of bindings to
     follow.  A variable's first occurrence binds it to the value it
     meets; a later occurrence must meet an equal value.  `_` matches
-    anything.  An element is tested by its name, attribute count and
-    child count directly, and an attribute-list variable binds the
-    element's own attributes.  Succeeds exactly when unify(pattern,
-    ground) does, with the same bindings.
+    anything.  An element meets the pattern as element(Name,Attrs,Children)
+    with its own attribute and child tuples as the two sequences, so an
+    attribute-list variable binds the element's own attributes.  Succeeds
+    exactly when unify(pattern, ground) does, with the same bindings.
     """
     bindings: dict[str, Term] = {}
     return bindings if _match(pattern, ground, bindings) else None
@@ -331,16 +290,12 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
     ground_kind = type(g)
     if kind is Compound:
         if ground_kind is Element:
-            if p.functor != "element" or len(p.args) != 3:
-                return False
-            name, attrs, children = p.args
-            if type(name) is Atom:
-                if name.text != g.name:
-                    return False
-            elif not _match(name, Atom(g.name), bindings):
-                return False
-            return _match_seq(attrs, g.attributes, bindings) and _match_seq(
-                children, g.children, bindings
+            return (
+                p.functor == "element"
+                and len(p.args) == 3
+                and _match(p.args[0], Atom(g.name), bindings)
+                and _match(p.args[1], Seq(g.attributes), bindings)
+                and _match(p.args[2], Seq(g.children), bindings)
             )
         if ground_kind is Attribute:
             return (
@@ -351,12 +306,7 @@ def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
             )
         leaf = _LEAF_NAMES.get(ground_kind)
         if leaf is not None:
-            if p.functor != leaf or len(p.args) != 1:
-                return False
-            content = p.args[0]
-            if type(content) is Str:
-                return content.text == g.content
-            return _match(content, Str(g.content), bindings)
+            return p.functor == leaf and len(p.args) == 1 and _match(p.args[0], Str(g.content), bindings)
         return (
             ground_kind is Compound
             and p.functor == g.functor
@@ -387,18 +337,6 @@ def _match_all(
     return True
 
 
-def _match_seq(p: Term, values: tuple[Term, ...], bindings: dict[str, Term]) -> bool:
-    """Match an element's attribute or child pattern against its own tuple."""
-    if type(p) is Seq:
-        return len(p.items) == len(values) and _match_all(p.items, values, bindings)
-    if type(p) is Var:
-        return _match(p, Seq(values), bindings)
-    return type(p) is Anonymous
-
-
-_NO_BINDINGS: dict[str, Term] = {}
-
-
 def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
     """Build the node a node-shaped term denotes under the bindings theta.
 
@@ -406,20 +344,18 @@ def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:
     a node, an element name, the attribute list, one attribute, an
     attribute name or value, the children, or a leaf's content.  The
     bindings may be triangular, with a bound value holding variables that
-    theta binds too, and every chain is followed to its end.  The result
-    and any error are those of term_to_node(_resolve(term, theta)), but
-    the resolved term is never built.  Nodes inside the term or its
-    bindings are returned as they are, not copied.  Raises
-    UnboundOutputError naming a variable that is still free, and
-    ShapeError when the term is not node-shaped.  An element whose
-    attributes repeat a name raises DuplicateAttributeError.
+    theta binds too; the term is resolved once, every chain followed to
+    its end, and then built.  Nodes inside the term or its bindings are
+    returned as they are, not copied.  Raises UnboundOutputError naming a
+    variable that is still free, and ShapeError when the term is not
+    node-shaped.  An element whose attributes repeat a name raises
+    DuplicateAttributeError.
     """
-    return _to_node(term, _NO_BINDINGS if theta is None else theta)
+    return _to_node(term if theta is None else _resolve(term, theta))
 
 
-def _bound(term: Term, theta: Mapping[str, Term]) -> Term:
-    """A term with its chain of bound variables followed; a free variable raises."""
-    term = _walk(term, theta)
+def _bound(term: Term) -> Term:
+    """The term itself; a free variable raises."""
     if type(term) is Var:
         raise UnboundOutputError(term.name)
     if type(term) is Anonymous:
@@ -427,51 +363,49 @@ def _bound(term: Term, theta: Mapping[str, Term]) -> Term:
     return term
 
 
-def _to_node(term: Term, theta: Mapping[str, Term]) -> Node:
-    term = _walk(term, theta)
+def _to_node(term: Term) -> Node:
     if type(term) is not Compound:
         if isinstance(term, _NODES):
             return term
-        _bound(term, theta)  # a free variable is reported as unbound, not as a shape
-        raise ShapeError(f"not a node term: {_resolve(term, theta)!r}")
+        _bound(term)  # a free variable is reported as unbound, not as a shape
+        raise ShapeError(f"not a node term: {term!r}")
     functor, args = term.functor, term.args
     if functor == "element" and len(args) == 3:
-        name = _bound(args[0], theta)
+        name = _bound(args[0])
         if type(name) is not Atom:
-            raise ShapeError(f"element name must be an atom: {_resolve(term, theta)!r}")
-        attributes = unique_attributes(
-            name.text, tuple([_to_attribute(a, theta) for a in _seq_items(args[1], theta, term)])
-        )
-        children = tuple([_to_node(c, theta) for c in _seq_items(args[2], theta, term)])
+            raise ShapeError(f"element name must be an atom: {term!r}")
+        attributes = tuple([_to_attribute(a) for a in _seq_items(args[1], term)])
+        attributes = unique_attributes(name.text, attributes)
+        children = tuple([_to_node(c) for c in _seq_items(args[2], term)])
         return Element(name.text, attributes, children)
     leaf = _LEAF_FUNCTORS.get(functor)
     if leaf is None:
-        raise ShapeError(f"not a node term: {_resolve(term, theta)!r}")
+        raise ShapeError(f"not a node term: {term!r}")
     if len(args) != 1:
-        raise ShapeError(f"{functor} takes one argument: {_resolve(term, theta)!r}")
-    content = _bound(args[0], theta)
+        raise ShapeError(f"{functor} takes one argument: {term!r}")
+    content = _bound(args[0])
     if type(content) is not Str:
-        raise ShapeError(f"{functor} content must be a string: {_resolve(term, theta)!r}")
+        raise ShapeError(f"{functor} content must be a string: {term!r}")
     return leaf(content.text)
 
 
-def _seq_items(term: Term, theta: Mapping[str, Term], context: Term) -> tuple[Term, ...]:
-    seq = _bound(term, theta)  # a free variable is reported as unbound, not as a shape
+def _seq_items(term: Term, context: Term) -> tuple[Term, ...]:
+    seq = _bound(term)  # a free variable is reported as unbound, not as a shape
     if type(seq) is not Seq:
-        raise ShapeError(f"expected a sequence in {_resolve(context, theta)!r}")
+        raise ShapeError(f"expected a sequence in {context!r}")
     return seq.items
 
 
-def _to_attribute(term: Term, theta: Mapping[str, Term]) -> Attribute:
-    term = _bound(term, theta)  # a free variable is reported as unbound, not as a shape
+def _to_attribute(term: Term) -> Attribute:
+    term = _bound(term)  # a free variable is reported as unbound, not as a shape
     if type(term) is Attribute:
         return term
     if type(term) is Compound and term.functor == "=" and len(term.args) == 2:
-        name = _bound(term.args[0], theta)
-        value = _bound(term.args[1], theta)
+        name = _bound(term.args[0])
+        value = _bound(term.args[1])
         if type(name) is Atom and type(value) is Str:
             return Attribute(name.text, value.text)
-    raise ShapeError(f"not an attribute term: {_resolve(term, theta)!r}")
+    raise ShapeError(f"not an attribute term: {term!r}")
 
 
 def is_ground(term: Term) -> bool:

@@ -10,9 +10,10 @@ the class's own `__slots__` when they are called, so defining a subclass
 generates no code.  Two values are equal when they are of the same class
 and their fields are equal.  A field whose name starts with "_" is
 state, not value: it is left out of `==`, `hash`, `repr` and
-`__reduce__`, so `__init__` must give it a default.  The node and term
-classes, which are built and compared per node, write those methods out
-by hand.
+`__reduce__`, so `__init__` must give it a default.  Only the node
+classes, which are built and compared per node, and the scalar terms
+`Atom`, `Str` and `Int`, which fact rows hash and compiled rules build
+per path result, write those methods out by hand.
 """
 
 from __future__ import annotations

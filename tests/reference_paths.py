@@ -75,10 +75,10 @@ def step_results(step: Step, node: Node, coerce_text: bool, root: Node) -> list:
     """What one step gives for one context node."""
     is_element = isinstance(node, Element)
     if isinstance(step, ChildNamed):
-        kids = _element(node, "/").children
+        kids = node.children if is_element else ()
         return [c for c in kids if isinstance(c, Element) and c.name == step.name]
     if isinstance(step, DescendantOrSelfNamed):
-        subtree = [n for _, n in preorder(_element(node, "//"))]
+        subtree = [n for _, n in preorder(node)] if is_element else []
         return [n for n in subtree if isinstance(n, Element) and step.name in (None, n.name)]
     if isinstance(step, AttrValue):
         values = [a.value for a in node.attributes if a.name == step.name] if is_element else []
@@ -94,7 +94,7 @@ def step_results(step: Step, node: Node, coerce_text: bool, root: Node) -> list:
     if isinstance(step, PIValue):
         return [node.content] if isinstance(node, PI) else []
     if isinstance(step, Children):
-        return list(_element(node, "child").children)
+        return list(node.children) if is_element else []
     if isinstance(step, Descendants):
         return [n for _, n in preorder(node)][1:]
     if isinstance(step, LastChild):

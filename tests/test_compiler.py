@@ -148,6 +148,20 @@ def test_every_repeated_occurrence_is_compared():
         assert (matcher(node) is not None) is hit
 
 
+def test_a_head_holding_a_node_or_an_attribute_compares_it():
+    # A rule built in Python may hold nodes and attributes in its head.
+    b = element("b", [("k", "1")])
+    head = Compound("element", (Atom("a"), Seq((Attribute("k", "1"),)), Seq((b, Var("X")))))
+    matcher = compiled_parts(Rule(head, ()))[0]
+    for node, hit in (
+        (element("a", [("k", "1")], [element("b", [("k", "1")]), text("t")]), True),
+        (element("a", [("k", "2")], [b, text("t")]), False),
+        (element("a", [("k", "1")], [element("b"), text("t")]), False),
+    ):
+        assert matcher(node) == match(head, node)
+        assert (matcher(node) is not None) is hit
+
+
 # --- output builders ----------------------------------------------------------
 
 

@@ -172,13 +172,19 @@ class TestOperatorEdges:
     def test_child_by_name_empty(self):
         assert list(child_by_name(element("a"), "b")) == []
 
-    def test_child_by_name_type_mismatch(self):
-        with pytest.raises(TypeMismatchError):
-            list(child_by_name(text("x"), "b"))
+    def test_child_by_name_finds_nothing_on_leaves(self):
+        # The child axis of a leaf is empty, as in XPath 1.0.
+        for node in (text("x"), pi("p"), comment("c")):
+            assert list(child_by_name(node, "b")) == []
+            assert list(eval_path(node, parse_path_text("/b"))) == []
 
-    def test_dos_type_mismatch_on_non_element(self):
-        with pytest.raises(TypeMismatchError):
-            list(descendant_or_self_by_name(text("x"), "p"))
+    def test_dos_finds_nothing_on_leaves(self):
+        for node in (text("x"), pi("p"), comment("c")):
+            assert list(descendant_or_self_by_name(node, "p")) == []
+            assert list(descendant_or_self_by_name(node, None)) == []
+            assert list(eval_path(node, parse_path_text("//*"))) == []
+        doc = element("r", [], [text("t"), element("p"), comment("c")])
+        assert list(eval_path(doc, parse_path_text("child //*"))) == [element("p")]
 
     def test_attribute_steps_find_nothing_on_non_elements(self):
         # The attribute axis of a non-element is empty, as in XPath 1.0.
@@ -209,9 +215,12 @@ class TestOperatorEdges:
     def test_children_excludes_attributes(self):
         assert list(children(element("a", [("z", "1")], [pi("p")]))) == [pi("p")]
 
-    def test_children_type_mismatch(self):
-        with pytest.raises(TypeMismatchError):
-            list(children(text("x")))
+    def test_children_finds_nothing_on_leaves(self):
+        for node in (text("x"), pi("p"), comment("c")):
+            assert list(children(node)) == []
+            assert list(eval_path(node, parse_path_text("child"))) == []
+        doc = element("r", [], [text("t"), element("p", [], [text("u")])])
+        assert list(eval_path(doc, parse_path_text("child child"))) == [text("u")]
 
     def test_descendants_of_text_is_empty(self):
         assert list(descendants(text("x"))) == []

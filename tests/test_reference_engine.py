@@ -23,8 +23,9 @@ import pytest
 import reference_engine
 from conftest import abstract, random_document, rename, wildcards
 from reference_engine import node_to_term
-from ltlx import parse, parse_path_text, parse_rules
+from ltlx import parse, parse_path_text, parse_rules, serialize
 from ltlx.engine import apply_templates
+from ltlx.errors import InstantiationError
 from ltlx.nodes import document_order
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
 from ltlx.rules import ApplyTemplates, Not, Rule, RuleSet, Transform, Unify
@@ -223,6 +224,34 @@ def test_late_bindings_agree_with_reference(rules):
     for _ in range(100):
         doc = random_document(rng, max_depth=4, max_nodes=30)
         assert_same(rs.with_options(coerce_text=rng.random() < 0.8), doc)
+
+
+# Goals that reach the generated code's run-time fallbacks: a transform
+# start bound through a chain of variables (checked for None, then found by
+# `_bound_node`), a start bound to a term that is not ground, and a template/2
+# result whose variable holds a free variable (`_match`, then `_interpret`).
+FALLBACK_RULES = {
+    "template(element(r,_,[C,_,_]),[text(T)]):-X=Y,Y=C,transform(X/b#,T).": "x",
+    "template(element(a,_,_),[T]):-B=element(a,[],K),transform(B/b,T).": (
+        "transform path start B is not fully bound: element(a,[],K)"
+    ),
+    "template(element(a,_,[C]),[element(w,[],[O])]):-O=element(b,[],K),template(C,[O]).\n"
+    "template(element(b,_,K),[element(b,[],K)]).": "<w><b>x</b></w><b>y</b><b>z</b>",
+}
+FALLBACK_DOC = "<r><a><b>x</b></a><a><b>y</b><b>z</b></a><c/></r>"
+
+
+@pytest.mark.parametrize("rules", FALLBACK_RULES)
+def test_run_time_fallbacks_agree_with_reference(rules):
+    rs = parse_rules(rules)
+    doc = parse(FALLBACK_DOC)
+    for mode in MODES:
+        try:
+            got = "".join(map(serialize, apply_templates(rs.with_options(solution_mode=mode), doc)))
+        except InstantiationError as exc:
+            got = str(exc)
+        assert got == FALLBACK_RULES[rules], mode
+    assert_same(rs, doc)
 
 
 # --- samples and benchmark rule texts ----------------------------------------
