@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Sequence
 
 from .encoding import SentinelConfig, decode_core, encode_core, split_sentinel_text
@@ -179,7 +180,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        with redirect_stdout(stdout), redirect_stderr(stderr):  # argparse's usage, errors and help
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

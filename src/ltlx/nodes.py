@@ -154,6 +154,7 @@ class Comment(_Leaf):
 
 
 Node = Union[Element, Text, PI, Comment]
+NODE_TYPES = (Element, Text, PI, Comment)
 Hedge = tuple[Node, ...]
 
 

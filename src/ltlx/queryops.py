@@ -19,7 +19,7 @@ from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Union
 
 from .errors import BadIndexPathError, TypeMismatchError
-from .nodes import Comment, Element, Node, PI, Text, document_order, node_equal, quoted
+from .nodes import NODE_TYPES, Element, Node, PI, Text, document_order, node_equal, quoted
 from .values import Value
 
 IndexPath = tuple[int, ...]
@@ -39,9 +39,10 @@ class Step(Value):
     metrics census; `operand` is its census operand, or None.  A step
     that `yields_values` produces strings, integers or index paths
     instead of nodes, so only an Index may follow it.  `apply` returns
-    the step's results for one context node; `root` is the document lvl
-    computes index paths against.  Index alone selects from the whole
-    incoming stream and has no `apply`.
+    the step's results for one context node.  Two steps have no `apply`:
+    Index selects from the whole incoming stream, and eval_path runs lvl
+    through `_Occurrences`, whose call takes the same arguments; `root`
+    is the document lvl computes index paths against.
     """
 
     __slots__ = ()
@@ -155,15 +156,12 @@ class CountChildren(Step):
 
 
 class Lvl(Step):
-    """`apply` looks up one context node; eval_path runs a stream of them
-    through `_Occurrences`, which walks the document once for all."""
+    """eval_path runs a stream of context nodes through `_Occurrences`,
+    which walks the document once for all."""
 
     __slots__ = ()
     symbol = "lvl"
     yields_values = True
-
-    def apply(self, node, coerce_text, root):
-        return lvl(root, node)
 
 
 class Index(Step):
@@ -577,7 +575,7 @@ def _apply_step(
     apply = _Occurrences() if type(step) is Lvl else step.apply
     for item in stream:
         try:
-            if not isinstance(item, (Element, Text, PI, Comment)):
+            if not isinstance(item, NODE_TYPES):
                 raise TypeMismatchError(f"needs a node, got {item!r}")
             yield from apply(item, coerce_text, root)
         except TypeMismatchError as exc:

@@ -121,7 +121,8 @@ class RuleSet(Value):
 
     Matching tries rules in order; `solution_mode` picks between
     committing to the first goal solution and enumerating all of them.
-    The rules are compiled on the first transform (see `rules_for`).
+    The rules are compiled for these options on the first transform (see
+    `rules_for`); a copy made by `with_options` compiles its own.
     """
 
     __slots__ = ("rules", "facts", "solution_mode", "coerce_text", "default_copy_text", "_compiled")
@@ -133,26 +134,22 @@ class RuleSet(Value):
         solution_mode: str = FIRST_ONLY,
         coerce_text: bool = True,
         default_copy_text: bool = False,
-        _compiled: list | None = None,
     ) -> None:
-        # _compiled is [(rules, compiled index)], filled by rules_for on first
-        # use; with_options copies share the list, and so the compiled code.
-        compiled = [] if _compiled is None else _compiled
-        super().__init__(rules, facts, solution_mode, coerce_text, default_copy_text, compiled)
+        # _compiled holds the compiled index once rules_for has made it.
+        super().__init__(rules, facts, solution_mode, coerce_text, default_copy_text, [])
 
     def with_options(self, **options) -> "RuleSet":
-        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
         return RuleSet(**{**fields, **options})
 
     def rules_for(self, node: Node) -> tuple:
         """The compiled rules whose heads can match `node`, in source order,
         as (rule, function) pairs (see `compiler`)."""
-        rules, index = self._compiled[0] if self._compiled else (None, None)
-        if rules is not self.rules:
+        if not self._compiled:
             from .compiler import index_rules  # loaded by the first transform only
 
-            index = index_rules(self.rules)
-            self._compiled[:] = [(self.rules, index)]
+            self._compiled.append(index_rules(self.rules, self.solution_mode, self.coerce_text))
+        index = self._compiled[0]
         if type(node) is Element:
             return index.get(node.name) or index[Element]
         return index.get(type(node)) or index[None]

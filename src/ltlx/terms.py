@@ -13,11 +13,10 @@ names to terms, triangular in the engine: `_match` and `_unify` extend
 one in place, and `term_to_node` resolves the chains before it builds.
 
 The engine runs each rule as code compiled from it (see `compiler`), so
-terms are built when a rule file loads and by the few goals the
-compiler does not specialise, not per node.  Only the scalar classes
-`Atom`, `Str` and `Int`, which `relalg` hashes per fact row and
-compiled code builds per path result, write `==`, `hash` and
-`__reduce__` by hand; the other term classes take them from `Value`.
+terms are built when a rule file loads and by the rules the compiler
+does not specialise, not per node.  Only the scalar classes `Atom`,
+`Str` and `Int`, which `relalg` hashes per fact row, write `==`, `hash`
+and `__reduce__` by hand; the other term classes take them from `Value`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 from typing import Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
-from .nodes import Attribute, Comment, Element, Node, PI, Text, quoted, unique_attributes
+from .nodes import NODE_TYPES, Attribute, Comment, Element, Node, PI, Text, quoted, unique_attributes
 from .values import Value, slot_setters
 
 
@@ -133,8 +132,7 @@ _set_functor, _set_args = slot_setters(Compound)
 
 Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node, Attribute]
 
-_NODES = (Element, Text, PI, Comment)
-_GROUND = (*_NODES, Attribute)
+_GROUND = (*NODE_TYPES, Attribute)
 _LEAF_FUNCTORS = {"text": Text, "pi": PI, "comment": Comment}
 _LEAF_NAMES = {leaf: name for name, leaf in _LEAF_FUNCTORS.items()}
 
@@ -365,7 +363,7 @@ def _bound(term: Term) -> Term:
 
 def _to_node(term: Term) -> Node:
     if type(term) is not Compound:
-        if isinstance(term, _NODES):
+        if isinstance(term, NODE_TYPES):
             return term
         _bound(term)  # a free variable is reported as unbound, not as a shape
         raise ShapeError(f"not a node term: {term!r}")

@@ -12,8 +12,8 @@ and their fields are equal.  A field whose name starts with "_" is
 state, not value: it is left out of `==`, `hash`, `repr` and
 `__reduce__`, so `__init__` must give it a default.  Only the node
 classes, which are built and compared per node, and the scalar terms
-`Atom`, `Str` and `Int`, which fact rows hash and compiled rules build
-per path result, write those methods out by hand.
+`Atom`, `Str` and `Int`, which fact rows hash, write those methods out
+by hand.
 """
 
 from __future__ import annotations

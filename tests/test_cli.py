@@ -376,6 +376,15 @@ class TestUsage:
         code, _, _ = invoke("canon", "--frobnicate", "x.xml")
         assert code == EXIT_USAGE
 
+    def test_usage_and_help_go_to_the_given_streams(self, capsys):
+        code, out, err = invoke("query", "x.xml")  # -p is missing
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: ltlx query") and "-p/--path" in err
+        code, out, err = invoke("--help")
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("usage: ltlx") and "transform" in out
+        assert capsys.readouterr() == ("", "")  # nothing on the process's own streams
+
     def test_stdin_dash(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('<a z="1" b="2"/>'))
         code, out, _ = invoke("canon", "-")

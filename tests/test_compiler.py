@@ -12,12 +12,14 @@ documents (`conftest.abstract`), with repeated variables, `_`,
 attribute-list variables and name=V items, and some get a random term
 grafted in where no node position can take it.  The other tests pin
 the index's source order and red cut, rule text that could break
-generated source, the file name that tracebacks show, and which goals
-and outputs are specialised, read off the generated source.
+generated source, the file name that tracebacks show, which rules are
+specialised and which are solved, read off the generated source, and
+that solved rules agree with the reference engine.
 """
 
 import random
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,15 +28,16 @@ import reference_engine
 from conftest import abstract, random_document, random_term, rename, wildcards
 from reference_engine import node_to_term
 from ltlx import parse, parse_rules, serialize
-from ltlx.compiler import _Binding, _Function, _Output, _Rule, _compile
+from ltlx.compiler import _Binding, _Function, _Output, _Rule, _Unspecialised, _compile, _interpret
 from ltlx.engine import apply_templates
 from ltlx.errors import LtlxError, ShapeError, UnboundOutputError
-from ltlx.nodes import PI, Attribute, Comment, Element, Text, document_order, element, text
+from ltlx.nodes import NODE_TYPES, PI, Attribute, Comment, Element, Text, document_order, element, text
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
 from ltlx.rules import Rule
 from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, match, term_to_node, variables_of
 
 SEEDS = st.integers(0, 2**32 - 1)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 # The raw value a local of each kind holds, from the term `match` binds.
@@ -49,29 +52,50 @@ RAW = {
 }
 
 
-def compiled_parts(rule):
+def goal_kind(value):
+    """The kind the compiler knows for a goal's binding to `value`, or None
+    when only the run would know it (a chain, a compound, or an attribute
+    list that is no element's own)."""
+    if isinstance(value, Element):
+        return "Element"
+    if isinstance(value, NODE_TYPES):
+        return "node"
+    if isinstance(value, Seq) and all(isinstance(i, NODE_TYPES) for i in value.items):
+        return "hedge"
+    return {Attribute: "attr", Str: "Str", Atom: "Atom"}.get(type(value))
+
+
+def compiled_parts(rule, theta=None):
     """The head matcher and the output builder that `rule`'s function
     inlines, generated by the same code as functions of their own: the
     matcher returns the head's bindings as a dict of terms, or None, and
-    the builder builds the output from such a dict."""
-    generated = _Rule(rule)
-    generated.src.namespace["LABEL"] = ""  # the builder reports no rule, as term_to_node does
-    generated.src.namespace["RAW"] = RAW
-    match = _Function("match", ["n"], "None")
+    the builder builds the output from such a dict.  A variable that the
+    head does not bind has the kind `goal_kind` gives its value in
+    `theta`.  An output that the builder does not build is built by
+    `term_to_node`, as in a solved rule."""
+    generated = _Rule(rule, True, True)
+    generated.src.namespace.update(RAW=RAW, _interpret=_interpret)
+    match = _Function("match", ["n"])
     scope = {}
     generated.head(match, scope)
     pairs = "".join(f"({name!r}, {b.local}, {b.term()}), " for name, b in sorted(scope.items()))
     match.emit(f"return {{name: t for name, v, t in ({pairs}) if v is not None}}")
-    build = _Function("build", ["theta"], "None")
+    build = _Function("build", ["theta"])
     known = {}
     for name in sorted(set().union(*map(variables_of, rule.output))):
         head = scope.get(name)
-        known[name] = _Binding(generated.src.local(), head is not None, head is not None, head and head.kind)
+        kind = head.kind if head is not None else goal_kind((theta or {}).get(name))
+        if kind is None:
+            continue  # free, or of a kind only the run knows: the rule is solved
+        known[name] = _Binding(generated.src.local(), kind)
         build.emit(f"{known[name].local} = theta.get({name!r})")
-        if head is not None and head.kind in RAW:
-            build.emit(f"{known[name].local} = RAW[{head.kind!r}]({known[name].local})")
+        if kind in RAW:
+            build.emit(f"{known[name].local} = RAW[{kind!r}]({known[name].local})")
     build.emit("out = []")
-    build.emit(*_Output(generated.src, known).lines(rule.output, lambda: ["env = theta"]))
+    try:
+        build.emit(*_Output(generated.src, known).lines(rule.output))
+    except _Unspecialised:
+        build.emit("out += _interpret(RULE.output, theta, '')")  # no rule label, as term_to_node has none
     build.emit("return tuple(out)")
     source = "\n".join(match.lines + build.lines)
     exec(compile(source, f"<ltlx {rule.label}>", "exec"), generated.src.namespace)
@@ -187,7 +211,6 @@ def random_value(rng, doc, names):
     return rng.choice(choices)()
 
 
-NODE_TYPES = (Element, Text, PI, Comment)
 FITS = {
     "node": lambda v: isinstance(v, NODE_TYPES),
     "str": lambda v: isinstance(v, Str),
@@ -280,7 +303,7 @@ def random_build(rng):
 def test_compiled_output_builds_what_term_to_node_builds(seed):
     rule, theta = random_build(random.Random(seed))
     expected = outcome(lambda: tuple(term_to_node(t, theta) for t in rule.output))
-    assert outcome(lambda: compiled_parts(rule)[1](theta)) == expected, (rule, theta)
+    assert outcome(lambda: compiled_parts(rule, theta)[1](theta)) == expected, (rule, theta)
 
 
 def test_many_random_outputs_build():
@@ -289,7 +312,7 @@ def test_many_random_outputs_build():
     for _ in range(300):
         rule, theta = random_build(rng)
         try:
-            compiled_parts(rule)[1](theta)
+            compiled_parts(rule, theta)[1](theta)
         except LtlxError:  # ShapeError, UnboundOutputError or DuplicateAttributeError
             continue
         built += 1
@@ -300,13 +323,14 @@ def test_builder_shares_bound_subtrees_and_fails_as_term_to_node_does():
     rule = parse_rules(
         'template(element(a,A,[X]),[element(b,A,[X,Y]),text(T)]):-Y=X,T="t".'
     ).rules[0]
-    build = compiled_parts(rule)[1]
+    build = lambda theta: compiled_parts(rule, theta)[1](theta)  # noqa: E731
     node = element("a", [("k", "v")], [element("x")])
     theta = match(rule.head, node)
     b, t = build({**theta, "Y": node.children[0], "T": Str("t")})
     assert b.children[0] is b.children[1] is node.children[0]
     assert b.attributes is node.attributes and t == text("t")
-    # Bindings a goal made are checked; the head's are known by their position.
+    # A goal's binding of another kind than its position reads, or of a
+    # kind only the run knows, leaves the output to term_to_node.
     for goals, error, message in (
         ({"Y": Str("s"), "T": Str("t")}, ShapeError, 'not a node term: "s"'),
         ({"Y": node, "T": Atom("s")}, ShapeError, "text content must be a string: text(s)"),
@@ -352,20 +376,23 @@ def test_generated_functions_are_named_after_their_rule():
         "template(element(a,_,_),[element(b,[],[])]).\n"
         'template(element(c,_,_),[element(d,[],[X])]):-X="s".\n'
     )
-    _, run = _compile(rules.rules[1])
+    _, run = _compile(rules.rules[1], True, True)
     assert run.__code__.co_filename == "<ltlx rule at line 2>"
     with pytest.raises(ShapeError) as err:
         run(element("c"), rules, element("c"), [])
     assert "<ltlx rule at line 2>" in [frame.filename for frame in traceback.extract_tb(err.tb)]
 
 
-def test_with_options_copies_share_the_compiled_rules():
+def test_a_rule_set_compiles_once_for_its_own_options():
     source = "template(element(a,[],[]),[element(b,[],[])])."
     rules = parse_rules(source)
     doc = element("r", [], [element("a")])
     apply_templates(rules, doc)
+    compiled = rules.rules_for(doc.children[0])
+    assert rules.rules_for(doc.children[0]) is compiled
     copy = rules.with_options(solution_mode=ALL_SOLUTIONS)
-    assert copy.rules_for(doc.children[0]) is rules.rules_for(doc.children[0])
+    assert copy.rules_for(doc.children[0]) is not compiled
+    assert copy.rules_for(doc.children[0]) is copy.rules_for(doc.children[0])
     assert rules == parse_rules(source)  # the compiled code is no part of a rule set's value
 
 
@@ -455,8 +482,56 @@ PRICE_RULE = (
 )
 
 
-def generated_source(text):
-    return _Rule(parse_rules(text).rules[0]).source()
+# Rules of the benchmark's structural rule set, copied: a repeated head
+# variable, and an `=` goal that builds a node from the head's parts.
+PAIR_RULE = "template(element(pair,_,[A,A]),[element(same,[],[text(W)])]):-transform(A//w#1/#,W)."
+PICK_RULE = (
+    "template(element(bag,As,Cs),[element(pick,[],[text(T)])]):-\n"
+    "   B=element(bag,As,Cs),transform(B//k#,T)."
+)
+# What only a solved rule calls, and the terms only a solved rule builds.
+INTERPRETER = ("_solve(", "_unify", "_bound_node", "_interpret")
+BOXES = ("Str(", "Int(", "Seq(")
+
+
+def generated_source(text, first=True, coerce=True):
+    return _Rule(parse_rules(text).rules[0], first, coerce).source()
+
+
+def test_benchmark_rules_are_specialised_in_both_modes():
+    for text in (FLAG_RULE, HEADER_RULE, PRICE_RULE, PAIR_RULE, PICK_RULE):
+        for first in (True, False):
+            source = generated_source(text, first)
+            assert not [name for name in INTERPRETER + BOXES if name in source], source
+            # The options are compiled in: the function reads neither from the rule set.
+            assert "rs." not in source and "FIRST" not in source, source
+            assert ("_match(" in source) == (text is PAIR_RULE), source  # only the [A,A] compare
+    # The pick rule's node is built once, from the bag's own attribute and child tuples.
+    assert "Element('bag', v2, v3)" in generated_source(PICK_RULE)
+
+
+def test_every_sample_rule_is_specialised():
+    for path in sorted(SAMPLES.glob("*/rules.ltl")):
+        for rule in parse_rules(path.read_text(encoding="utf-8")).rules:
+            source = _Rule(rule, True, True).source()
+            assert not [name for name in INTERPRETER + BOXES if name in source], (path, source)
+            assert ("_match(" in source) == ("[A,A]" in repr(rule.head)), (path, source)
+
+
+def test_a_tested_start_is_not_tested_again():
+    # X@flag tests that X is an element; X/name# then knows it.
+    flag = generated_source(FLAG_RULE)
+    assert flag.count("if type(n) is not Element:") == 1, flag
+
+
+def test_the_solution_mode_and_coercion_are_compiled_in():
+    first, every = generated_source(FLAG_RULE), generated_source(FLAG_RULE, first=False)
+    # The attribute scan breaks at its attribute; in first-solution mode each loop of X/name# breaks too.
+    assert (first.count("break"), every.count("break")) == (3, 1)
+    # Without coercion X/name# reads a text node only, so the element's text never matches.
+    assert "for " not in generated_source("template(X,[text(N)]):-transform(X#,N).", coerce=False)
+    assert "_coerced_text(" in generated_source("template(X,[text(N)]):-transform(X/name,N).")
+    assert "_coerced_text(" not in generated_source("template(X,[N]):-transform(X/name,N).", coerce=False)
 
 
 def test_node_local_paths_and_bound_leaves_are_inlined():
@@ -475,7 +550,7 @@ def test_node_local_paths_and_bound_leaves_are_inlined():
 @pytest.mark.parametrize("path", ["X//name#", "X/name#1", "X lvl", 'X id("1")', "X/a/b/c/d#", "X count"])
 def test_other_paths_still_run_through_eval_path(path):
     source = generated_source(f"template(X,[element(o,[],[])]):-transform({path},V).")
-    assert "_path_values(" in source
+    assert "_path_values(" in source and "_solve(" not in source  # V is never used
 
 
 def test_inlined_paths_keep_eval_path_results_in_both_modes():
@@ -495,12 +570,35 @@ def test_inlined_paths_keep_eval_path_results_in_both_modes():
     assert header.children[0] is doc.children[0].children[0]  # the bound text node itself
 
 
-def test_variables_that_share_a_local_pass_it_to_a_function_once():
-    # Y=X binds Y to the node X holds, in X's own local; the not/1 function
-    # and the rest of a body nested past one function's loops take it once.
-    chain = ",".join(f"transform(Y//p#,T{i})" for i in range(15))
-    rules = parse_rules(f"template(X,[text(T0)]):-Y=X,not(Y=element(q,_,_)),{chain}.")
-    doc = parse("<r><p>1</p></r>")
+# --- solved rules --------------------------------------------------------------
+
+CHAIN = ",".join(f"transform(X//p#,T{i})" for i in range(15))  # one loop each, past one function's 16
+SOLVED_RULES = {
+    "not": "template(X,[element(plain,[],[text(N)])]):-"
+    "X=element(item,_,_),not(transform(X@flag,_)),transform(X/name#,N).",
+    "compound =": "template(element(item,_,C),[O]):-g(O,K)=g(element(wrap,[],K),C).",
+    "count output": "template(X,[element(n,[],[text(N)])]):-X=element(item,_,_),transform(X count,N).",
+    "child output": "template(X,[element(k,[],[text(K)])]):-X=element(item,_,_),transform(X child,K).",
+    "past 16 loops": f"template(X,[element(o,[],[text(T0),text(T14)])]):-X=element(r,_,_),{CHAIN}.",
+    "alias and not": "template(X,[text(T0)]):-Y=X,not(Y=element(q,_,_)),"
+    + ",".join(f"transform(Y//p#,T{i})" for i in range(15))
+    + ".",
+}
+SOLVED_DOC = (
+    '<r><item flag="hot"><name>a</name><name>b</name></item><item><name>c</name></item><p>1</p><q>2</q></r>'
+)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_RULES))
+def test_solved_rules_agree_with_the_reference(name):
+    rules = parse_rules(SOLVED_RULES[name])
+    assert "_solve(" in _Rule(rules.rules[0], True, True).source()
+    doc = parse(SOLVED_DOC)
     for mode in (FIRST_ONLY, ALL_SOLUTIONS):
-        moded = rules.with_options(solution_mode=mode)
-        assert apply_templates(moded, doc) == reference_engine.apply_templates(moded, doc) == (text("1"),)
+        for coerce_text in (True, False):
+            moded = rules.with_options(solution_mode=mode, coerce_text=coerce_text)
+            got = outcome(lambda: "".join(map(serialize, apply_templates(moded, doc))))
+            expected = outcome(lambda: "".join(map(serialize, reference_engine.apply_templates(moded, doc))))
+            if type(expected) is tuple:  # the same exception type; the reference words its own messages
+                expected, got = expected[0], got[0] if type(got) is tuple else got
+            assert got == expected, (name, mode, coerce_text)
