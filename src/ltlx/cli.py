@@ -3,6 +3,8 @@
 Subcommands: canon, encode, decode, query, transform, metrics, relalg.
 Exit codes: 0 success, 1 parse/load error, 2 usage error, 3 transform
 output that is not a well-formed document (the result is still emitted).
+
+Each subcommand imports its own layers when it runs (`canon` only `nodes` and `xmlio`).
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Sequence
 
-from .encoding import SentinelConfig, decode_core, encode_core, split_sentinel_text
-from .engine import transform_document
-from .errors import LtlxError
-from .metrics import CENSUS_RULE, DIALECT_LTL, DIALECT_XSLT, compute_metrics, count_tokens
-from .nodes import canonicalize, Element
-from .queryops import ALL_SOLUTIONS, FIRST_ONLY, eval_path
-from .relalg import eval_expr, relations_from_facts
-from .rules import parse_path_text, parse_rules
-from .xmlio import XML_DECLARATION, parse, serialize
+from .errors import ALL_SOLUTIONS, DIALECT_LTL, DIALECT_XSLT, FIRST_ONLY, LtlxError
 
 SENTINEL_ENV = "LTL_SENTINELS"
 
@@ -58,7 +52,8 @@ def _emit(text: str, out_path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def _sentinels(option: str | None) -> SentinelConfig:
+def _sentinels(option: str | None):
+    from .encoding import SentinelConfig
     raw = option if option is not None else os.environ.get(SENTINEL_ENV)
     if raw is None:
         return SentinelConfig()
@@ -82,6 +77,7 @@ def _format_result(value, declaration: bool) -> str:
         return str(value)
     if isinstance(value, tuple):
         return "[" + ",".join(str(k) for k in value) + "]"
+    from .xmlio import serialize
     return serialize(value, xml_declaration=declaration)
 
 
@@ -195,12 +191,25 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, stdout) -> int:
+    if args.command == "relalg":
+        from .relalg import eval_expr, relations_from_facts
+        from .rules import parse_rules
+        ruleset = parse_rules(_read(args.relations))
+        relations = relations_from_facts(ruleset.facts)
+        relation = eval_expr(args.expr, relations)
+        rows = sorted(",".join(map(repr, row)) for row in relation.tuples)
+        stdout.write("".join(row + "\n" for row in rows))
+        return EXIT_OK
+
+    from .xmlio import XML_DECLARATION, parse, serialize  # relalg, above, reads no XML
     if args.command == "canon":
+        from .nodes import canonicalize
         doc = canonicalize(parse(_read_xml(args.input)))
         _emit(serialize(doc, args.xml_declaration) + "\n", args.output, stdout)
         return EXIT_OK
 
     if args.command in ("encode", "decode"):
+        from .encoding import decode_core, encode_core, split_sentinel_text
         config = _sentinels(args.sentinels)
         doc = parse(_read_xml(args.input))
         if args.command == "encode":
@@ -211,6 +220,8 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return EXIT_OK
 
     if args.command == "query":
+        from .queryops import eval_path
+        from .syntax import parse_path_text
         doc = parse(_read_xml(args.input))
         path = parse_path_text(args.path)
         results = eval_path(
@@ -221,6 +232,9 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return EXIT_OK
 
     if args.command == "transform":
+        from .engine import transform_document
+        from .nodes import Element
+        from .rules import parse_rules
         ruleset = parse_rules(_read(args.rules)).with_options(
             solution_mode=args.solutions,
             coerce_text=not args.no_coerce_text,
@@ -238,6 +252,7 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
         return EXIT_OK if result.well_formed else EXIT_NOT_WELL_FORMED
 
     if args.command == "metrics":
+        from .metrics import CENSUS_RULE, compute_metrics, count_tokens
         counts = count_tokens(_read(args.input), args.dialect)
         report = compute_metrics(counts)
         pairs = [
@@ -261,14 +276,6 @@ def _dispatch(args: argparse.Namespace, stdout) -> int:
             for key, value in pairs:
                 shown = f"{value:.6f}".rstrip("0").rstrip(".") if isinstance(value, float) else value
                 stdout.write(f"{key:9} {shown}\n")
-        return EXIT_OK
-
-    if args.command == "relalg":
-        ruleset = parse_rules(_read(args.relations))
-        relations = relations_from_facts(ruleset.facts)
-        relation = eval_expr(args.expr, relations)
-        rows = sorted(",".join(map(repr, row)) for row in relation.tuples)
-        stdout.write("".join(row + "\n" for row in rows))
         return EXIT_OK
 
     raise LtlxError(f"unknown command {args.command!r}")  # pragma: no cover

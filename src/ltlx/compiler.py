@@ -87,7 +87,7 @@ from .queryops import (
     _coerced_text,
     eval_path,
 )
-from .rules import ApplyTemplates, Goal, Not, Rule, RuleSet, Transform, Unify
+from .rules import ApplyTemplates, Not, Rule, RuleSet, Transform, Unify
 from .terms import (
     _LEAF_FUNCTORS,
     Anonymous,
@@ -211,20 +211,12 @@ def _inlined(path: PathExpr) -> bool:
     return len(steps) <= _MAX_NODE_STEPS and all(type(step) in _NODE_STEPS for step in steps)
 
 
-def _solve(rs: RuleSet, rule: Rule, theta: dict[str, Term], root: Node, out: list[Node]) -> bool:
-    """Solve `rule`'s goals from the head's bindings `theta` and append the
-    output hedge of each solution to `out`; whether the rule fired."""
-    fired = False
-    for solution in _solutions(rs, rule.goals, theta, root):
-        out += _interpret(rule.output, solution, rule.label)
-        fired = True
-    return fired
-
-
-def _solutions(
-    rs: RuleSet, goals: tuple[Goal, ...], theta: dict[str, Term], root: Node
-) -> Iterator[dict[str, Term]]:
-    """Solve `goals` left to right, yielding the bindings of each solution.
+def _solve(
+    rs: RuleSet, rule: Rule, theta: dict[str, Term], root: Node, out: list[Node] | None, goals: tuple = ()
+) -> bool:
+    """Solve `rule`'s goals, or `goals`, left to right from the bindings
+    `theta`, and append the output hedge of each solution to `out`;
+    whether there was a solution.  With `out` None, stop at the first.
 
     The bindings are triangular, as in a Prolog environment: a variable
     may be bound to a term holding variables that are bound too.  Each
@@ -232,34 +224,50 @@ def _solutions(
     sides; a transform goal matches each value its path offers, in
     first-solution mode the first only; a template/2 goal matches the
     hedge `_emit` makes for its node; not(g) succeeds exactly when g has
-    no solution, and keeps none of g's bindings.
+    no solution, and keeps none of g's bindings.  The stack holds, per
+    goal reached, an iterator over its untried alternatives' bindings.
+    `_emit` is called from this frame, so a template/2 chain through a
+    solved rule costs three frames a level: `_emit`, `run` and this one.
     """
-    if not goals:
-        yield theta
-        return
-    goal, rest = goals[0], goals[1:]
-    if isinstance(goal, Not):
-        for _ in _solutions(rs, (goal.inner,), theta, root):
-            return
-        yield from _solutions(rs, rest, theta, root)
-        return
-    if isinstance(goal, Unify):
-        alternatives: Iterable = ((_unify, goal.lhs, goal.rhs),)
-    elif isinstance(goal, Transform):
-        start = goal.path.start
-        if start not in theta:
-            raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
-        node = _bound_node(theta, theta[start], f"transform path start {start}")
-        values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
-        alternatives = ((_match, goal.result, _boxed(value)) for value in values)
-    else:
-        hedge: list[Node] = []
-        _emit(rs, _bound_node(theta, goal.node, "template goal node"), root, hedge)
-        alternatives = ((_match, goal.result, Seq(hedge)),)
-    for solve, term, value in alternatives:
+    goals = goals or rule.goals
+    fired, stack = False, [iter((theta,))]
+    while stack:
+        theta = next(stack[-1], None)
+        if theta is None:
+            stack.pop()
+        elif len(stack) > len(goals):
+            if out is None:
+                return True
+            out += _interpret(rule.output, theta, rule.label)
+            fired = True
+        else:
+            goal = goals[len(stack) - 1]
+            if isinstance(goal, Not):
+                stack.append(iter(() if _solve(rs, rule, theta, root, None, (goal.inner,)) else (theta,)))
+            elif isinstance(goal, Unify):
+                stack.append(_extended(theta, _unify, goal.lhs, (goal.rhs,)))
+            elif isinstance(goal, Transform):
+                start = goal.path.start
+                if start not in theta:
+                    raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
+                node = _bound_node(theta, theta[start], f"transform path start {start}")
+                values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
+                stack.append(_extended(theta, _match, goal.result, map(_boxed, values)))
+            else:
+                hedge: list[Node] = []
+                _emit(rs, _bound_node(theta, goal.node, "template goal node"), root, hedge)
+                stack.append(_extended(theta, _match, goal.result, (Seq(hedge),)))
+    return fired
+
+
+def _extended(
+    theta: dict[str, Term], solve: Callable, term: Term, values: Iterable
+) -> Iterator[dict[str, Term]]:
+    """A copy of `theta` extended by each of `values` that `solve` makes `term` agree with."""
+    for value in values:
         env = dict(theta)
         if solve(term, value, env):
-            yield from _solutions(rs, rest, env, root)
+            yield env
 
 
 def _key(head: Term) -> object:

@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the option names the CLI offers without loading the layers that use them."""
 
 from __future__ import annotations
 
 from .values import Value
+
+FIRST_ONLY, ALL_SOLUTIONS = "first", "all"  # solution modes (queryops)
+DIALECT_LTL, DIALECT_XSLT = "ltl", "xslt"  # census dialects (metrics)
 
 
 class ParseDiagnostic(Value):

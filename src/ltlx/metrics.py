@@ -15,14 +15,12 @@ import math
 from collections import Counter
 
 from . import xmlio
+from .errors import DIALECT_LTL, DIALECT_XSLT
 from .nodes import Element, document_order
 from .queryops import PathExpr
 from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify, parse_rules
 from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
 from .values import Value
-
-DIALECT_LTL = "ltl"
-DIALECT_XSLT = "xslt"
 
 LIST_OPERATOR = "[|]"
 

@@ -18,15 +18,12 @@ from __future__ import annotations
 from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Union
 
-from .errors import BadIndexPathError, TypeMismatchError
+from .errors import ALL_SOLUTIONS, FIRST_ONLY, BadIndexPathError, TypeMismatchError
 from .nodes import NODE_TYPES, Element, Node, PI, Text, document_order, node_equal, quoted
 from .values import Value
 
 IndexPath = tuple[int, ...]
 Result = Union[Node, str, int, IndexPath]
-
-FIRST_ONLY = "first"
-ALL_SOLUTIONS = "all"
 
 
 # --- path steps -------------------------------------------------------------

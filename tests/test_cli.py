@@ -421,6 +421,24 @@ class TestDeepInput:
         assert decoded.read_bytes() == canon.read_bytes() == doc.read_bytes() + b"\n"
         assert (tmp_path / "count.txt").read_text(encoding="utf-8") == "1\n"
 
+    def test_250_level_chain_through_a_solved_rule(self, tmp_path):
+        # not/1 sends the first rule to the goal solver, which costs the
+        # chain three frames a level; at five, 198 levels were too deep.
+        rules = tmp_path / "chain.ltl"
+        rules.write_text(
+            "template(element(sec,_,[element(t,_,[text(T)]),S]),[element(s,[],[text(T),O])]):-\n"
+            "   not(S=text(_)),template(S,[O]).\n"
+            "template(element(sec,_,[element(t,_,[text(T)])]),[element(s,[],[text(T)])]).\n",
+            encoding="utf-8",
+        )
+        depth = 250
+        doc, out = tmp_path / "chain.xml", tmp_path / "out.xml"
+        doc.write_text("".join(f"<sec><t>{i}</t>" for i in range(depth)) + "</sec>" * depth, encoding="utf-8")
+        code, err = run_process("transform", "-r", str(rules), str(doc), "-o", str(out))
+        assert code == EXIT_OK, err
+        expected = "".join(f"<s>{i}" for i in range(depth)) + "</s>" * depth + "\n"
+        assert out.read_text(encoding="utf-8") == expected
+
 
 class TestNoTraceback:
     """Failures the program does not report itself still end in one diagnostic line."""
