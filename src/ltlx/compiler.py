@@ -23,8 +23,8 @@ A specialised rule runs as code of its own:
   variable) is matched in place.  Level by level, it first tests what
   can be read off the value without binding anything: node types,
   element names, attribute and child counts, literal names and strings.
-  Then it binds the new variables.  A repeated variable is compared by
-  `_match`.  A head with a part that no node can take matches no node.
+  Then it binds the new variables; a repeated variable compares by value.
+  A head with a part that no node can take matches no node.
 - An `=` goal with a fresh variable on one side binds it to a scalar
   literal, to a node built as an output is but with no run-time check,
   or to the value of a bound variable.
@@ -33,12 +33,12 @@ A specialised rule runs as code of its own:
   `children`, a scan of `attributes`, a loop over text children.  The
   loops keep `eval_path`'s order, find nothing under a leaf, and break
   after the first value in first-solution mode.  Any other path loops
-  over `_path_values`, which runs `eval_path`.  The path sets the kind:
-  `@`, `id`, `#` and `?` give strings, and so does a `/name` or `//name`
-  path under coercion (the text children of each element it finds);
-  without coercion a node path gives nodes.  Only the run knows the
-  kind of a `count` or `lvl` value, or of a value of another node path
-  under coercion.
+  over `engine._path_values`, which runs `eval_path`.  The path sets the
+  kind: `@`, `id`, `#` and `?` give strings, and so does a `/name` or
+  `//name` path under coercion (the text children of each element it
+  finds); without coercion a node path gives nodes.  Only the run knows
+  the kind of a `count` or `lvl` value, or of a value of another node
+  path under coercion.
 - A template/2 goal is one call back into `engine._emit`.
 - The output is built by direct `Element` and leaf calls that share the
   bound values: a bound subtree, attribute tuple or hedge is passed as
@@ -48,9 +48,7 @@ A rule that uses a value whose kind only the run knows, or that has a
 not/1 goal, an `=` goal of another form, a goal node that is not a
 bound node variable, an output the builder cannot build, or a body
 nested past `_MAX_LOOPS` loops, is solved: its function matches the head
-the same way and hands the head's bindings, as terms, to `_solve`.  That
-is the textbook left-to-right solver over a dict of bindings, built on
-the term interpreter (`_match`, `_unify`, `term_to_node`).
+the same way and hands the head's bindings, as terms, to `engine._solve`.
 
 Errors keep the types and messages of the helpers they come from.  The
 index maps an element name or a leaf type to the rules whose head can
@@ -65,14 +63,11 @@ as in `<ltlx rule at line 3>`, so tracebacks and profiles name the rule.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
-from .engine import _emit
-from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
-from .nodes import NODE_TYPES, Attribute, Comment, Element, Hedge, Node, PI, Text, unique_attributes
+from .engine import _emit, _path_values, _solve, _values
+from .nodes import NODE_TYPES, Attribute, Comment, Element, PI, Text, unique_attributes
 from .queryops import (
-    ALL_SOLUTIONS,
     FIRST_ONLY,
     AttrValue,
     ChildNamed,
@@ -82,29 +77,11 @@ from .queryops import (
     Index,
     Lvl,
     PathExpr,
-    Result,
     TextValue,
     _coerced_text,
-    eval_path,
 )
-from .rules import ApplyTemplates, Not, Rule, RuleSet, Transform, Unify
-from .terms import (
-    _LEAF_FUNCTORS,
-    Anonymous,
-    Atom,
-    Compound,
-    Int,
-    Seq,
-    Str,
-    Term,
-    Var,
-    _match,
-    _resolve,
-    _unify,
-    _walk,
-    is_ground,
-    term_to_node,
-)
+from .rules import ApplyTemplates, Rule, Transform, Unify
+from .terms import _LEAF_FUNCTORS, Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
 
 Compiled = tuple[Rule, Callable]  # (rule, run)
 
@@ -138,57 +115,16 @@ _READS = {
     ("Element", "node"): "{}",
 }
 
-
-def _term(kind: str | None, local: str) -> str:
-    """The expression of the term that `local`, of this kind, stands for."""
-    return _TERMS.get(kind, "{}").format(local)
-
-
-def _interpret(output: tuple[Term, ...], theta: dict[str, Term], label: str) -> Hedge:
-    try:
-        return tuple([term_to_node(template, theta) for template in output])
-    except UnboundOutputError as exc:
-        raise UnboundOutputError(exc.variable, label) from None
-
-
-def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
-    """The node that `term` denotes under `theta`, for a transform start or
-    a template/2 node."""
-    term = _walk(term, theta)
-    if isinstance(term, NODE_TYPES):
-        return term
-    grounded = _resolve(term, theta)
-    if not is_ground(grounded):
-        raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
-    try:
-        return term_to_node(grounded)
-    except ShapeError:
-        raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
-
-
-def _values(result: Result) -> Iterable[Result]:
-    """What one path result offers a transform goal under text coercion:
-    an element stands for its direct text children."""
-    return _coerced_text(result) if type(result) is Element else (result,)
-
-
-def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node, first: bool) -> Iterator[Result]:
-    """The raw values a transform goal whose path is not inlined offers."""
-    results = eval_path(node, path, ALL_SOLUTIONS, coerce, root)
-    values = (value for result in results for value in _values(result)) if coerce else results
-    return islice(values, 1) if first else values
-
-
-def _boxed(value: Result) -> Term:
-    """The term a raw path value stands for."""
-    kind = type(value)
-    if kind is str:
-        return Str(value)
-    if kind is int:
-        return Int(value)
-    if kind is tuple:
-        return Seq(tuple(Int(k) for k in value))
-    return value
+# How a repeated variable compares a binding of a kind by value, as `_match`
+# compares terms: the class of the term it stands for, and the raw value as
+# that class reads it (a hedge as a tuple, as a template/2 result is a list).
+_COMPARED = {
+    **{kind: (kind, "{}") for kind in ("node", "attr", "Atom", "Str")},
+    **{leaf: ("Str", "{}.content") for leaf in ("Text", "PI", "Comment")},
+    "Element": ("node", "{}"),
+    "attrs": ("Seq", "{}"),
+    "hedge": ("Seq", "tuple({})"),
+}
 
 
 def _path_kind(path: PathExpr, coerce: bool) -> str | None:
@@ -209,65 +145,6 @@ def _inlined(path: PathExpr) -> bool:
     """Whether a transform goal runs `path` in loops of its own."""
     steps = path.steps[:-1] if type(path.steps[-1]) in (AttrValue, TextValue) else path.steps
     return len(steps) <= _MAX_NODE_STEPS and all(type(step) in _NODE_STEPS for step in steps)
-
-
-def _solve(
-    rs: RuleSet, rule: Rule, theta: dict[str, Term], root: Node, out: list[Node] | None, goals: tuple = ()
-) -> bool:
-    """Solve `rule`'s goals, or `goals`, left to right from the bindings
-    `theta`, and append the output hedge of each solution to `out`;
-    whether there was a solution.  With `out` None, stop at the first.
-
-    The bindings are triangular, as in a Prolog environment: a variable
-    may be bound to a term holding variables that are bound too.  Each
-    alternative extends its own copy of `theta`.  An `=` goal unifies its
-    sides; a transform goal matches each value its path offers, in
-    first-solution mode the first only; a template/2 goal matches the
-    hedge `_emit` makes for its node; not(g) succeeds exactly when g has
-    no solution, and keeps none of g's bindings.  The stack holds, per
-    goal reached, an iterator over its untried alternatives' bindings.
-    `_emit` is called from this frame, so a template/2 chain through a
-    solved rule costs three frames a level: `_emit`, `run` and this one.
-    """
-    goals = goals or rule.goals
-    fired, stack = False, [iter((theta,))]
-    while stack:
-        theta = next(stack[-1], None)
-        if theta is None:
-            stack.pop()
-        elif len(stack) > len(goals):
-            if out is None:
-                return True
-            out += _interpret(rule.output, theta, rule.label)
-            fired = True
-        else:
-            goal = goals[len(stack) - 1]
-            if isinstance(goal, Not):
-                stack.append(iter(() if _solve(rs, rule, theta, root, None, (goal.inner,)) else (theta,)))
-            elif isinstance(goal, Unify):
-                stack.append(_extended(theta, _unify, goal.lhs, (goal.rhs,)))
-            elif isinstance(goal, Transform):
-                start = goal.path.start
-                if start not in theta:
-                    raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
-                node = _bound_node(theta, theta[start], f"transform path start {start}")
-                values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
-                stack.append(_extended(theta, _match, goal.result, map(_boxed, values)))
-            else:
-                hedge: list[Node] = []
-                _emit(rs, _bound_node(theta, goal.node, "template goal node"), root, hedge)
-                stack.append(_extended(theta, _match, goal.result, (Seq(hedge),)))
-    return fired
-
-
-def _extended(
-    theta: dict[str, Term], solve: Callable, term: Term, values: Iterable
-) -> Iterator[dict[str, Term]]:
-    """A copy of `theta` extended by each of `values` that `solve` makes `term` agree with."""
-    for value in values:
-        env = dict(theta)
-        if solve(term, value, env):
-            yield env
 
 
 def _key(head: Term) -> object:
@@ -304,10 +181,7 @@ def index_rules(
 # The names generated code uses, besides a rule's own constants.
 _NAMESPACE = {
     **{cls.__name__: cls for cls in (Atom, Attribute, Comment, Element, PI, Seq, Str, Text)},
-    **{
-        f.__name__: f
-        for f in (_coerced_text, _emit, _match, _path_values, _solve, _values, unique_attributes)
-    },
+    **{f.__name__: f for f in (_coerced_text, _emit, _path_values, _solve, _values, unique_attributes)},
 }
 
 
@@ -339,7 +213,7 @@ class _Binding:
 
     def term(self) -> str:
         """The expression of the term the binding stands for."""
-        return _term(self.kind, self.local)
+        return _TERMS.get(self.kind, "{}").format(self.local)
 
 
 class _Unspecialised(Exception):
@@ -399,7 +273,9 @@ class _Pattern:
                 self.binds.append(f"{local} = {value}")
             self.bound[p.name] = _Binding(local, kind)
         elif known.kind is not None and kind is not None:
-            self.checks.append(f"_match({known.term()}, {_term(kind, value)}, {{}})")
+            (cls, read), (other_cls, other_read) = _COMPARED[known.kind], _COMPARED[kind]
+            same = f"{read.format(known.local)} == {other_read.format(value)}"
+            self.checks.append(same if cls == other_cls else "False")  # an atom never equals a string
         else:
             raise _Unspecialised
 

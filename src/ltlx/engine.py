@@ -3,7 +3,9 @@
 Each rule runs as one function compiled from it once per rule set (see
 `compiler`), which matches the rule's head, solves its goals and builds
 its output; an index offers a node only the rules whose heads can match
-it, in source order.  A template/2 goal calls back into `_emit`.
+it, in source order.  What those functions call as they run lives here:
+`_emit` for a template/2 goal, `_path_values` for a path that is not
+inlined, and `_solve` for the goals of a rule that is not specialised.
 
 Traversal visits the document pre-order.  At each node, the first rule
 whose head matches and whose goals succeed emits its output hedge, and
@@ -24,23 +26,141 @@ alternative on backtracking.
 
 from __future__ import annotations
 
-from .errors import TypeMismatchError
-from .nodes import Element, Hedge, Node, Text
-from .rules import RuleSet
+from itertools import islice
+from typing import Callable, Iterable, Iterator
+
+from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
+from .nodes import NODE_TYPES, Element, Hedge, Node, Text
+from .queryops import ALL_SOLUTIONS, FIRST_ONLY, PathExpr, Result, _coerced_text, eval_path
+from .rules import Not, Rule, RuleSet, Transform, Unify
+from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, _walk, is_ground, term_to_node
 from .values import Value
 
 
 def _emit(rs: RuleSet, node: Node, root: Node, out: list[Node]) -> None:
     """Append the output of `node` to `out`: the first rule that fires on
-    it, else the default descent.  `root` is the document lvl reads."""
-    for _, run in rs.rules_for(node):
-        if run(node, rs, root, out):
-            return
-    if isinstance(node, Element):
-        for child in node.children:
-            _emit(rs, child, root, out)
-    elif rs.default_copy_text and isinstance(node, Text):
-        out.append(node)
+    it, else the default descent.  `root` is the document lvl reads.  The
+    descent visits children from a stack of its own, so it costs no
+    Python frame per level; only template/2 goals nest calls."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        for _, run in rs.rules_for(node):
+            if run(node, rs, root, out):
+                break
+        else:
+            if isinstance(node, Element):
+                stack += reversed(node.children)
+            elif rs.default_copy_text and isinstance(node, Text):
+                out.append(node)
+
+
+def _interpret(output: tuple[Term, ...], theta: dict[str, Term], label: str) -> Hedge:
+    try:
+        return tuple([term_to_node(template, theta) for template in output])
+    except UnboundOutputError as exc:
+        raise UnboundOutputError(exc.variable, label) from None
+
+
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
+    """The node that `term` denotes under `theta`, for a transform start or
+    a template/2 node."""
+    term = _walk(term, theta)
+    if isinstance(term, NODE_TYPES):
+        return term
+    grounded = _resolve(term, theta)
+    if not is_ground(grounded):
+        raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
+    try:
+        return term_to_node(grounded)
+    except ShapeError:
+        raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
+
+
+def _values(result: Result) -> Iterable[Result]:
+    """What one path result offers a transform goal under text coercion:
+    an element stands for its direct text children."""
+    return _coerced_text(result) if type(result) is Element else (result,)
+
+
+def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node, first: bool) -> Iterator[Result]:
+    """The raw values a transform goal whose path is not inlined offers."""
+    results = eval_path(node, path, ALL_SOLUTIONS, coerce, root)
+    values = (value for result in results for value in _values(result)) if coerce else results
+    return islice(values, 1) if first else values
+
+
+def _boxed(value: Result) -> Term:
+    """The term a raw path value stands for."""
+    kind = type(value)
+    if kind is str:
+        return Str(value)
+    if kind is int:
+        return Int(value)
+    if kind is tuple:
+        return Seq(tuple(Int(k) for k in value))
+    return value
+
+
+def _solve(
+    rs: RuleSet, rule: Rule, theta: dict[str, Term], root: Node, out: list[Node] | None, goals: tuple = ()
+) -> bool:
+    """Solve `rule`'s goals, or `goals`, left to right from the bindings
+    `theta`, and append the output hedge of each solution to `out`;
+    whether there was a solution.  With `out` None, stop at the first.
+
+    This textbook solver, on the term interpreter (`_match`, `_unify`,
+    `term_to_node`), runs every rule the compiler does not specialise.
+    The bindings are triangular, as in a Prolog environment: a variable
+    may be bound to a term holding variables that are bound too.  Each
+    alternative extends its own copy of `theta`.  An `=` goal unifies its
+    sides; a transform goal matches each value its path offers, in
+    first-solution mode the first only; a template/2 goal matches the
+    hedge `_emit` makes for its node; not(g) succeeds exactly when g has
+    no solution, and keeps none of g's bindings.  The stack holds, per
+    goal reached, an iterator over its untried alternatives' bindings.
+    `_emit` is called from this frame, so a template/2 chain through a
+    solved rule costs three frames a level: `_emit`, `run` and this one.
+    """
+    goals = goals or rule.goals
+    fired, stack = False, [iter((theta,))]
+    while stack:
+        theta = next(stack[-1], None)
+        if theta is None:
+            stack.pop()
+        elif len(stack) > len(goals):
+            if out is None:
+                return True
+            out += _interpret(rule.output, theta, rule.label)
+            fired = True
+        else:
+            goal = goals[len(stack) - 1]
+            if isinstance(goal, Not):
+                stack.append(iter(() if _solve(rs, rule, theta, root, None, (goal.inner,)) else (theta,)))
+            elif isinstance(goal, Unify):
+                stack.append(_extended(theta, _unify, goal.lhs, (goal.rhs,)))
+            elif isinstance(goal, Transform):
+                start = goal.path.start
+                if start not in theta:
+                    raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
+                node = _bound_node(theta, theta[start], f"transform path start {start}")
+                values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
+                stack.append(_extended(theta, _match, goal.result, map(_boxed, values)))
+            else:
+                hedge: list[Node] = []
+                _emit(rs, _bound_node(theta, goal.node, "template goal node"), root, hedge)
+                stack.append(_extended(theta, _match, goal.result, (Seq(hedge),)))
+    return fired
+
+
+def _extended(
+    theta: dict[str, Term], solve: Callable, term: Term, values: Iterable
+) -> Iterator[dict[str, Term]]:
+    """A copy of `theta` extended by each of `values` that `solve` makes `term` agree with."""
+    for value in values:
+        env = dict(theta)
+        if solve(term, value, env):
+            yield env
 
 
 def apply_templates(rs: RuleSet, node: Node) -> Hedge:

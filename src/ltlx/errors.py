@@ -59,6 +59,10 @@ class BadIndexPathError(LtlxError):
     """An index path does not denote a node of the document."""
 
 
+class SerializeError(LtlxError):
+    """A node has no XML text: a comment or processing instruction that would not read back."""
+
+
 class ShapeError(LtlxError):
     """A term is not shaped like a node."""
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import xml.parsers.expat as _expat
 from typing import Callable
 
-from .errors import ParseDiagnostic, ParseError
-from .nodes import Attribute, Comment, Element, Node, PI, Text
+from .errors import ParseDiagnostic, ParseError, SerializeError
+from .nodes import Attribute, Comment, Element, Node, PI, Text, quoted
 
 __all__ = ["ParseDiagnostic", "ParseError", "XML_DECLARATION", "parse", "serialize"]
 
@@ -28,9 +28,11 @@ def parse(xml_text: str | bytes) -> Element:
     Elements, attributes, character data, comments, and processing
     instructions are preserved; CDATA sections fold into plain text; the
     five predefined entities and numeric character references are
-    resolved.  The XML declaration, DOCTYPE, and prolog/epilog comments
-    or processing instructions are discarded.  Raises ParseError with a
-    1-based position for anything that is not well-formed.
+    resolved, and so are internal entities the DOCTYPE declares.  The XML
+    declaration, DOCTYPE, and prolog/epilog comments or processing
+    instructions are discarded.  Raises ParseError with a 1-based position
+    for anything that is not well-formed, and at a reference to an
+    external entity, which is never read.
     """
     root: list[Element] = []
     parser = _expat.ParserCreate()
@@ -43,6 +45,7 @@ def parse(xml_text: str | bytes) -> Element:
         parser.ProcessingInstructionHandler,
         parser.CommentHandler,
     ) = _tree_builder(root)
+    parser.ExternalEntityRefHandler = _refuse
     try:
         parser.Parse(xml_text, True)
     except _expat.ExpatError as exc:
@@ -53,6 +56,11 @@ def parse(xml_text: str | bytes) -> Element:
             ParseDiagnostic(line=exc.lineno, column=exc.offset + 1, message=message)
         ) from None
     return root[0]
+
+
+def _refuse(context: str, base: str | None, system_id: str, public_id: str | None) -> int:
+    """Refuse an external entity reference; expat then stops at it."""
+    return 0
 
 
 def _tree_builder(root: list[Element]) -> tuple[Callable, ...]:
@@ -139,9 +147,12 @@ def serialize(node: Node, xml_declaration: bool = False) -> str:
 
     Empty elements collapse to <n/>, attributes are double-quoted in
     stored order, and special characters are escaped so that reparsing
-    the output reproduces the node exactly.  A loop writes the tree,
-    stacking each element's closing tag, so any depth works; an element
-    whose only child is a text is written in one piece.
+    the output reproduces the node exactly.  A comment that holds '--' or
+    ends in '-', and a processing instruction that holds '?>' or whose
+    target is empty or xml, have no such text: they raise SerializeError.
+    A loop writes the tree, stacking each element's closing tag, so any
+    depth works; an element whose only child is a text is written in one
+    piece.
     """
     parts = [XML_DECLARATION] if xml_declaration else []
     write = parts.append
@@ -168,7 +179,26 @@ def serialize(node: Node, xml_declaration: bool = False) -> str:
         elif kind is Text:
             write(_escape_text(node.content))
         elif kind is PI:
-            write(f"<?{node.content}?>")
+            write(f"<?{_pi(node.content)}?>")
         else:
-            write(f"<!--{node.content}-->")
+            write(f"<!--{_comment(node.content)}-->")
     return "".join(parts)
+
+
+def _pi(content: str) -> str:
+    """`content`, if a processing instruction can hold it (XML 1.0 §2.6): its
+    target, up to the first space, is not empty and not xml in any case,
+    and no '?>' ends it early."""
+    target = content
+    for space in " \t\r\n":
+        target = target.partition(space)[0]
+    if not target or target.lower() == "xml" or "?>" in content:
+        raise SerializeError(f"processing instruction cannot be written: {quoted(content)}")
+    return content
+
+
+def _comment(content: str) -> str:
+    """`content`, if a comment can hold it (XML 1.0 §2.5): no '--', and no '-' at the end."""
+    if "--" in content or content.endswith("-"):
+        raise SerializeError(f"comment cannot be written: {quoted(content)}")
+    return content

@@ -318,6 +318,17 @@ class TestMetrics:
         assert values["n1_total"] == "4"
         assert values["n2_total"] == "2"
 
+    def test_machine_output_of_a_not_goal(self, tmp_path):
+        # Operators: template, [|], text, :-, ",", not, transform (twice),
+        # @, /, # (10 distinct, 11 in all).  Operands: X (three times),
+        # N (twice), flag, _, name (5 distinct, 8 in all).
+        script = tmp_path / "not.ltl"
+        script.write_text("template(X,[text(N)]):-not(transform(X@flag,_)),transform(X/name#,N).")
+        code, out, _ = invoke("metrics", str(script), "--machine")
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert code == EXIT_OK
+        assert [values[k] for k in ("eta1", "eta2", "n1_total", "n2_total")] == ["10", "5", "11", "8"]
+
     def test_xslt_dialect(self):
         code, out, _ = invoke(
             "metrics",
@@ -421,6 +432,22 @@ class TestDeepInput:
         assert decoded.read_bytes() == canon.read_bytes() == doc.read_bytes() + b"\n"
         assert (tmp_path / "count.txt").read_text(encoding="utf-8") == "1\n"
 
+    def test_100000_level_chain_through_the_default_descent(self, tmp_path):
+        # No rule fires on an a element, so the engine descends to the text.
+        depth = 100_000
+        doc, out = tmp_path / "chain.xml", tmp_path / "out.xml"
+        doc.write_text("<a>" * depth + "x" + "</a>" * depth, encoding="utf-8")
+        rules, empty = tmp_path / "text.ltl", tmp_path / "empty.ltl"
+        rules.write_text("template(text(T),[element(t,[],[text(T)])]).\n", encoding="utf-8")
+        empty.write_text("", encoding="utf-8")
+        for argv, exit_code, written in (
+            (("-r", str(rules)), EXIT_OK, "<t>x</t>\n"),
+            (("-r", str(empty), "--default-copy-text"), EXIT_NOT_WELL_FORMED, "x\n"),
+        ):
+            code, err = run_process("transform", *argv, str(doc), "-o", str(out))
+            assert code == exit_code and "Traceback" not in err, (argv, err)
+            assert out.read_text(encoding="utf-8") == written
+
     def test_250_level_chain_through_a_solved_rule(self, tmp_path):
         # not/1 sends the first rule to the goal solver, which costs the
         # chain three frames a level; at five, 198 levels were too deep.
@@ -491,6 +518,26 @@ class TestNoTraceback:
         code, err = run_process("transform", "-r", str(path), str(doc))
         self.assert_one_line_error(code, err)
         assert err == f"ltlx: error: {message}\n"
+
+    def test_comment_and_pi_that_cannot_be_written(self, tmp_path):
+        rules = tmp_path / "bad.ltl"
+        rules.write_text(
+            'template(element(a,_,_),[element(r,[],[comment("x--y"),pi("t ?> z")])]).', encoding="utf-8"
+        )
+        doc, encoded = tmp_path / "doc.xml", tmp_path / "encoded.xml"
+        doc.write_text("<a/>", encoding="utf-8")
+        encoded.write_text("<r>\ue001x--y</r>", encoding="utf-8")  # U+E001 marks an encoded comment
+        for argv in (("transform", "-r", str(rules), str(doc)), ("decode", str(encoded))):
+            code, out, err = invoke(*argv)
+            self.assert_one_line_error(code, err)
+            assert out == "" and "cannot be written" in err, argv
+
+    def test_external_entity_reference(self, tmp_path):
+        doc = tmp_path / "doc.xml"
+        doc.write_text('<!DOCTYPE r [<!ENTITY e SYSTEM "file:///etc/hostname">]><r>&e;</r>', encoding="utf-8")
+        code, out, err = invoke("canon", str(doc))
+        self.assert_one_line_error(code, err)
+        assert out == "" and err == "ltlx: error: 1:60: error in processing external entity reference\n"
 
     def test_index_zero_in_a_query(self, tmp_path):
         doc = tmp_path / "doc.xml"

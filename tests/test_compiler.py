@@ -28,12 +28,12 @@ import reference_engine
 from conftest import abstract, random_document, random_term, rename, wildcards
 from reference_engine import node_to_term
 from ltlx import parse, parse_rules, serialize
-from ltlx.compiler import _Binding, _Function, _Output, _Rule, _Unspecialised, _compile, _interpret
-from ltlx.engine import apply_templates
+from ltlx.compiler import _Binding, _Function, _Output, _Rule, _Unspecialised, _compile
+from ltlx.engine import _interpret, apply_templates
 from ltlx.errors import LtlxError, ShapeError, UnboundOutputError
 from ltlx.nodes import NODE_TYPES, PI, Attribute, Comment, Element, Text, document_order, element, text
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
-from ltlx.rules import Rule
+from ltlx.rules import Rule, RuleSet, Unify
 from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, match, term_to_node, variables_of
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -157,6 +157,20 @@ def test_most_compiled_heads_match_their_own_node():
     assert hits > 200
 
 
+# A repeated variable compares what `match` compares: a hedge that a
+# template/2 goal returns as a list equals the children tuple it came
+# from, and an element name never equals a text's string.
+REPEATED_RULES = (
+    (
+        "template(element(p,_,C),[element(ok,[],[])]):-C=[X],template(X,C).\n"
+        "template(element(q,_,_),[element(q,[],[])]).",
+        "<p><q/></p>",
+        "<ok/>",
+    ),
+    ("template(element(N,_,[text(N)]),[element(ok,[],[])]).", "<a>a</a>", ""),
+)
+
+
 def test_every_repeated_occurrence_is_compared():
     head = parse_rules('template(element(a,[k=V],[X,X,text(V),X]),[]).').rules[0].head
     matcher = compiled_parts(Rule(head, ()))[0]
@@ -170,6 +184,38 @@ def test_every_repeated_occurrence_is_compared():
         node = element("a", [("k", "v")], children)
         assert matcher(node) == match(head, node)
         assert (matcher(node) is not None) is hit
+    for text_, xml, expected in REPEATED_RULES:
+        rules, doc = parse_rules(text_), parse(xml)
+        assert "_solve(" not in _Rule(rules.rules[0], True, True).source()
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            moded = rules.with_options(solution_mode=mode)
+            hedge = apply_templates(moded, doc)
+            assert "".join(map(serialize, hedge)) == expected
+            assert hedge == reference_engine.apply_templates(moded, doc)
+
+
+def test_a_name_bound_by_the_head_meets_a_literal():
+    rules = parse_rules("template(element(N,_,_),[element(o,[],[])]):-N=a.")
+    source = _Rule(rules.rules[0], True, True).source()
+    assert "_solve(" not in source and "if not (v2 == 'a'):" in source, source
+    assert apply_templates(rules, element("a")) == (element("o"),)
+    assert apply_templates(rules, element("b")) == ()
+
+
+def test_an_attribute_binding_meets_a_pattern():
+    # Only a rule built in Python reaches this: no rule text binds a
+    # variable to one attribute and then writes name=value for it in a goal.
+    head = Compound("element", (Atom("a"), Seq((Var("X"),)), anon()))
+    goal = Unify(Var("X"), Compound("=", (Atom("k"), Var("V"))))
+    rules = RuleSet((Rule(head, (Compound("text", (Var("V"),)),), (goal,), 1),))
+    source = _Rule(rules.rules[0], True, True).source()
+    assert "_solve(" not in source and ".name == 'k'" in source, source
+    for xml in ('<a k="v"/>', '<a j="v"/>', '<a k="v" j="w"/>', '<r><a k="1"/><b/><a k="2"/><a/></r>'):
+        doc = parse(xml)
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            moded = rules.with_options(solution_mode=mode)
+            assert apply_templates(moded, doc) == reference_engine.apply_templates(moded, doc)
+    assert apply_templates(rules, parse('<r><a k="1"/><a j="2"/></r>')) == (text("1"),)
 
 
 def test_a_head_holding_a_node_or_an_attribute_compares_it():
@@ -505,7 +551,7 @@ def test_benchmark_rules_are_specialised_in_both_modes():
             assert not [name for name in INTERPRETER + BOXES if name in source], source
             # The options are compiled in: the function reads neither from the rule set.
             assert "rs." not in source and "FIRST" not in source, source
-            assert ("_match(" in source) == (text is PAIR_RULE), source  # only the [A,A] compare
+            assert ("if not v3 == v2[1]:" in source) == (text is PAIR_RULE), source  # only the [A,A] compare
     # The pick rule's node is built once, from the bag's own attribute and child tuples.
     assert "Element('bag', v2, v3)" in generated_source(PICK_RULE)
 
@@ -515,7 +561,7 @@ def test_every_sample_rule_is_specialised():
         for rule in parse_rules(path.read_text(encoding="utf-8")).rules:
             source = _Rule(rule, True, True).source()
             assert not [name for name in INTERPRETER + BOXES if name in source], (path, source)
-            assert ("_match(" in source) == ("[A,A]" in repr(rule.head)), (path, source)
+            assert ("if not v3 == v2[1]:" in source) == ("[A,A]" in repr(rule.head)), (path, source)
 
 
 def test_a_tested_start_is_not_tested_again():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ltlx import element, parse, parse_path_text, parse_rules, serialize, text, transform_document
-from ltlx import compiler
+from ltlx import engine
 from ltlx.engine import apply_templates
 from ltlx.errors import (
     DuplicateAttributeError,
@@ -84,8 +84,8 @@ class TestSolveGoals:
             '<item flag="cold"><name>B</name></item><item><name>C</name></item></catalog>'
         )
         calls = []
-        real = compiler.term_to_node  # what rebuilds a start that is not a node
-        monkeypatch.setattr(compiler, "term_to_node", lambda *a: calls.append(a) or real(*a))
+        real = engine.term_to_node  # what rebuilds a start that is not a node
+        monkeypatch.setattr(engine, "term_to_node", lambda *a: calls.append(a) or real(*a))
         result = transform_document(rules, doc)
         assert "".join(map(serialize, result.nodes)) == (
             "<h1>T</h1><flagged>A</flagged><other/><other/>"

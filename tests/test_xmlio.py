@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ltlx import element, parse, serialize, text
-from ltlx.errors import ParseError
+from ltlx.errors import LtlxError, ParseError
 from ltlx.nodes import comment, pi
 
 from conftest import random_document
@@ -58,6 +58,18 @@ class TestParse:
         doc = parse("<a><!--note--><?tgt data?></a>")
         assert doc == element("a", [], [comment("note"), pi("tgt data")])
 
+    def test_external_entity_reference_is_refused(self):
+        source = '<!DOCTYPE r [<!ENTITY e SYSTEM "file:///etc/hostname">]><r>&e;</r>'
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.diagnostic.line, err.value.diagnostic.column) == (1, source.index("&e;") + 1)
+        assert err.value.diagnostic.message == "error in processing external entity reference"
+
+    def test_internal_entities_and_an_unreferenced_external_subset_parse(self):
+        assert parse('<!DOCTYPE r [<!ENTITY e "in">]><r>&e;</r>') == element("r", [], [text("in")])
+        assert parse('<!DOCTYPE r SYSTEM "r.dtd"><r/>') == element("r")
+        assert parse('<!DOCTYPE r [<!ENTITY e SYSTEM "e.xml">]><r>x</r>') == element("r", [], [text("x")])
+
     def test_a_long_text_run_is_one_text_node(self):
         # Expat hands over character data in pieces of at most 8192
         # characters; the pieces of one run make one text node.
@@ -101,6 +113,21 @@ class TestSerialize:
     def test_pi_and_comment(self):
         n = element("a", [], [pi("tgt data"), comment("note")])
         assert serialize(n) == "<a><?tgt data?><!--note--></a>"
+
+    @pytest.mark.parametrize("content", ["x--y", "--", "x-", "-"])
+    def test_comment_that_cannot_be_written(self, content):
+        with pytest.raises(LtlxError, match="comment cannot be written"):
+            serialize(element("a", [], [comment(content)]))
+
+    @pytest.mark.parametrize("content", ["t ?> z", "t?>", "", " t", "xml", "XmL v", "xml\tv"])
+    def test_pi_that_cannot_be_written(self, content):
+        with pytest.raises(LtlxError, match="processing instruction cannot be written"):
+            serialize(pi(content))
+
+    def test_comments_and_pis_that_can_be_written_read_back(self):
+        comments = [comment("x-y"), comment(""), comment("-x")]
+        doc = element("a", [], comments + [pi("t"), pi("t ?"), pi("xml-stylesheet v"), pi("xmlx")])
+        assert parse(serialize(doc)) == doc
 
     def test_optional_declaration(self):
         assert serialize(element("a"), xml_declaration=True) == (
