@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Sequence
@@ -23,6 +24,14 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_NOT_WELL_FORMED = 3
+
+# The Name production of XML 1.0 (Fifth Edition), section 2.3.  It is
+# compiled on first use, by `re`'s cache: its ranges take some 5-7 ms.
+_NAME_START = (
+    ":A-Z_a-z\xc0-\xd6\xd8-\xf6\xf8-\u02ff\u0370-\u037d\u037f-\u1fff\u200c\u200d\u2070-\u218f"
+    "\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff"
+)
+_XML_NAME = f"[{_NAME_START}][{_NAME_START}\\-.0-9\xb7\u0300-\u036f\u203f\u2040]*"
 
 
 def _read(path: str) -> str:
@@ -68,6 +77,13 @@ def _sentinels(option: str | None):
         return SentinelConfig(*marks)
     except ValueError as exc:  # repeated code points
         raise LtlxError(f"{exc}: {raw!r}") from None
+
+
+def _xml_name(text: str) -> str:
+    """`text`, which must be an XML Name; argparse reports any other as a usage error."""
+    if not re.fullmatch(_XML_NAME, text):
+        raise argparse.ArgumentTypeError(f"not an XML name: {text!r}")
+    return text
 
 
 def _format_result(value, declaration: bool) -> str:
@@ -151,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--wrap-root",
         metavar="NAME",
+        type=_xml_name,
         help="wrap a non-well-formed output hedge in a synthetic root element",
     )
 

@@ -115,7 +115,7 @@ _READS = {
     ("Element", "node"): "{}",
 }
 
-# How a repeated variable compares a binding of a kind by value, as `_match`
+# How a repeated variable compares a binding of a kind by value, as `_unify`
 # compares terms: the class of the term it stands for, and the raw value as
 # that class reads it (a hedge as a tuple, as a template/2 result is a list).
 _COMPARED = {
@@ -222,10 +222,10 @@ class _Unspecialised(Exception):
 
 
 class _Pattern:
-    """Source that matches a pattern against a bound value as `_match` does,
-    binding its new variables to locals; gathered by a walk in `_match`'s
+    """Source that matches a pattern against a bound value as `_unify` does,
+    binding its new variables to locals; gathered by a walk in `_unify`'s
     order.  A part it raises `_Unspecialised` on, other than a variable
-    bound to a value of a kind only the run knows, is one that `_match`
+    bound to a value of a kind only the run knows, is one that `_unify`
     fails on: no node, name, list or attribute in its position can take it."""
 
     def __init__(self, src: _Source, scope: dict[str, _Binding]):

@@ -27,13 +27,13 @@ alternative on backtracking.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
 from .nodes import NODE_TYPES, Element, Hedge, Node, Text
 from .queryops import ALL_SOLUTIONS, FIRST_ONLY, PathExpr, Result, _coerced_text, eval_path
 from .rules import Not, Rule, RuleSet, Transform, Unify
-from .terms import Int, Seq, Str, Term, _match, _resolve, _unify, _walk, is_ground, term_to_node
+from .terms import Int, Seq, Str, Term, _resolve, _unify, _walk, is_ground, term_to_node
 from .values import Value
 
 
@@ -109,18 +109,19 @@ def _solve(
     `theta`, and append the output hedge of each solution to `out`;
     whether there was a solution.  With `out` None, stop at the first.
 
-    This textbook solver, on the term interpreter (`_match`, `_unify`,
+    This textbook solver, on the term interpreter (`_unify`,
     `term_to_node`), runs every rule the compiler does not specialise.
     The bindings are triangular, as in a Prolog environment: a variable
     may be bound to a term holding variables that are bound too.  Each
-    alternative extends its own copy of `theta`.  An `=` goal unifies its
-    sides; a transform goal matches each value its path offers, in
-    first-solution mode the first only; a template/2 goal matches the
-    hedge `_emit` makes for its node; not(g) succeeds exactly when g has
-    no solution, and keeps none of g's bindings.  The stack holds, per
-    goal reached, an iterator over its untried alternatives' bindings.
-    `_emit` is called from this frame, so a template/2 chain through a
-    solved rule costs three frames a level: `_emit`, `run` and this one.
+    alternative extends its own copy of `theta`.  Every goal that binds
+    unifies: an `=` goal its sides, a transform goal its result with each
+    value its path offers (in first-solution mode the first only), and a
+    template/2 goal its result with the hedge `_emit` makes for its node.
+    not(g) succeeds exactly when g has no solution, and keeps none of g's
+    bindings.  The stack holds, per goal reached, an iterator over its
+    untried alternatives' bindings.  `_emit` is called from this frame,
+    so a template/2 chain through a solved rule costs three frames a
+    level: `_emit`, `run` and this one.
     """
     goals = goals or rule.goals
     fired, stack = False, [iter((theta,))]
@@ -138,28 +139,26 @@ def _solve(
             if isinstance(goal, Not):
                 stack.append(iter(() if _solve(rs, rule, theta, root, None, (goal.inner,)) else (theta,)))
             elif isinstance(goal, Unify):
-                stack.append(_extended(theta, _unify, goal.lhs, (goal.rhs,)))
+                stack.append(_extended(theta, goal.lhs, (goal.rhs,)))
             elif isinstance(goal, Transform):
                 start = goal.path.start
                 if start not in theta:
                     raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
                 node = _bound_node(theta, theta[start], f"transform path start {start}")
                 values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
-                stack.append(_extended(theta, _match, goal.result, map(_boxed, values)))
+                stack.append(_extended(theta, goal.result, map(_boxed, values)))
             else:
                 hedge: list[Node] = []
                 _emit(rs, _bound_node(theta, goal.node, "template goal node"), root, hedge)
-                stack.append(_extended(theta, _match, goal.result, (Seq(hedge),)))
+                stack.append(_extended(theta, goal.result, (Seq(hedge),)))
     return fired
 
 
-def _extended(
-    theta: dict[str, Term], solve: Callable, term: Term, values: Iterable
-) -> Iterator[dict[str, Term]]:
-    """A copy of `theta` extended by each of `values` that `solve` makes `term` agree with."""
+def _extended(theta: dict[str, Term], term: Term, values: Iterable) -> Iterator[dict[str, Term]]:
+    """A copy of `theta` extended by each of `values` that `term` unifies with."""
     for value in values:
         env = dict(theta)
-        if solve(term, value, env):
+        if _unify(term, value, env):
             yield env
 
 

@@ -1,16 +1,16 @@
-"""Pattern terms, matching, and most-general unification.
+"""Pattern terms and most-general unification.
 
 Template heads are terms with variables.  Document nodes, and the
-attributes they carry, are ground terms, read as their element, text,
-pi or comment compound and as name="value".  Matching a head against a
-node is one-sided, so `match` needs no occurs check and looks into the
-node only as deep as the head does.  Variables bind to the node objects
+attributes they carry, are ground terms: one unifier, `_unify`, reads
+any node or attribute it meets as its element, text, pi or comment
+compound or as name="value", one level deep, and looks into the node
+only as deep as the other side does.  Variables bind to the node objects
 themselves, and an attribute-list variable to the element's own
 attributes, so an output shares what it bound instead of copying it.
-General unification is left for `=` goals; `_unify` hands any node or
-attribute it meets to `match`.  Bindings are a plain dict from variable
-names to terms, triangular in the engine: `_match` and `_unify` extend
-one in place, and `term_to_node` resolves the chains before it builds.
+`match` is that unifier against ground data, `unify` the general one
+for `=` goals.  Bindings are a plain dict from variable names to terms,
+triangular in the engine: `_unify` extends one in place, and
+`term_to_node` resolves the chains before it builds.
 
 The engine runs each rule as code compiled from it (see `compiler`), so
 terms are built when a rule file loads and by the rules the compiler
@@ -132,7 +132,8 @@ _set_functor, _set_args = slot_setters(Compound)
 
 Term = Union[Var, Anonymous, Atom, Str, Int, Compound, Seq, Node, Attribute]
 
-_GROUND = (*NODE_TYPES, Attribute)
+_GROUND = frozenset((*NODE_TYPES, Attribute))
+_NESTED = frozenset((Compound, Seq))
 _LEAF_FUNCTORS = {"text": Text, "pi": PI, "comment": Comment}
 _LEAF_NAMES = {leaf: name for name, leaf in _LEAF_FUNCTORS.items()}
 
@@ -192,41 +193,62 @@ def _occurs(name: str, term: Term, bindings: dict[str, Term]) -> bool:
 
 
 def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
-    a = _walk(a, bindings)
-    b = _walk(b, bindings)
-    if isinstance(a, Anonymous) or isinstance(b, Anonymous):
+    # `_walk`, inlined: this runs once per term pair of every solved goal.
+    while type(a) is Var and a.name in bindings:
+        a = bindings[a.name]
+    while type(b) is Var and b.name in bindings:
+        b = bindings[b.name]
+    kind, other = type(a), type(b)
+    if kind is Anonymous or other is Anonymous:
         return True
-    if isinstance(a, Var):
-        if isinstance(b, Var) and b.name == a.name:
+    if kind is Var:
+        if other is Var and b.name == a.name:
             return True
-        if _occurs(a.name, b, bindings):
+        if other in _NESTED and _occurs(a.name, b, bindings):
             return False
         bindings[a.name] = b
         return True
-    if isinstance(b, Var):
-        if _occurs(b.name, a, bindings):
+    if other is Var:
+        if kind in _NESTED and _occurs(b.name, a, bindings):
             return False
         bindings[b.name] = a
         return True
-    if isinstance(b, _GROUND):
-        return _match(a, b, bindings)  # a node is ground, so matching is exact
-    if isinstance(a, _GROUND):
-        return _match(b, a, bindings)
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.text == b.text
-    if isinstance(a, Str) and isinstance(b, Str):
-        return a.text == b.text
-    if isinstance(a, Int) and isinstance(b, Int):
-        return a.value == b.value
-    if isinstance(a, Compound) and isinstance(b, Compound):
+    if kind in _GROUND or other in _GROUND:
+        if kind is not Compound and other is not Compound:
+            return a == b  # two nodes, or a node and a term that is not a compound
+        if kind is not Compound:
+            a, b = b, a  # the node is ground, so the order binds nothing differently
+        args = _node_args(b, a.functor)
+        if args is None or len(args) != len(a.args):
+            return False
+        pairs = zip(a.args, args)
+    elif kind is not other:
+        return False
+    elif kind is Compound:
         if a.functor != b.functor or len(a.args) != len(b.args):
             return False
-        return all(_unify(x, y, bindings) for x, y in zip(a.args, b.args))
-    if isinstance(a, Seq) and isinstance(b, Seq):
+        pairs = zip(a.args, b.args)
+    elif kind is Seq:
         if len(a.items) != len(b.items):
             return False
-        return all(_unify(x, y, bindings) for x, y in zip(a.items, b.items))
-    return False
+        pairs = zip(a.items, b.items)
+    else:
+        return a == b  # an atom, string or integer: its class's == compares class and field
+    for x, y in pairs:
+        if not _unify(x, y, bindings):
+            return False
+    return True
+
+
+def _node_args(node: Term, functor: str) -> tuple[Term, ...] | None:
+    """The arguments of the compound a node or attribute reads as, one
+    level deep, when its functor is `functor`; else None."""
+    kind = type(node)
+    if kind is Element:
+        return (Atom(node.name), Seq(node.attributes), Seq(node.children)) if functor == "element" else None
+    if kind is Attribute:
+        return (Atom(node.name), Str(node.value)) if functor == "=" else None
+    return (Str(node.content),) if functor == _LEAF_NAMES[kind] else None
 
 
 def _resolve(term: Term, bindings: Mapping[str, Term]) -> Term:
@@ -244,13 +266,13 @@ def unify(a: Term, b: Term) -> dict[str, Term] | None:
     Runs with the occurs check on, so unify(X, f(X)) fails.  Sequences
     unify element-wise and only at equal length; there is no splicing of
     partial hedges.  Wildcard occurrences match anything and leave no
-    binding in the result.  A node is ground, so any node it meets is
-    handed to match with the other side as the pattern: two nodes unify
-    when they are equal, a node meeting a pattern unifies as its
-    element/text/pi/comment compound (an attribute as name="value"), and
-    variables bind to the node objects themselves.  The bindings are in
-    solved form: no bound variable occurs in any bound term, so
-    apply_subst needs to apply them only once.
+    binding in the result.  A node or attribute unifies with a compound
+    as its element/text/pi/comment compound (an attribute as
+    name="value"), read one level deep, and with anything else, another
+    node included, when the two are equal; variables bind to the node
+    objects themselves.  The bindings are in solved form: no bound
+    variable occurs in any bound term, so apply_subst needs to apply them
+    only once.
     """
     bindings: dict[str, Term] = {}
     if not _unify(a, b, bindings):
@@ -261,78 +283,15 @@ def unify(a: Term, b: Term) -> dict[str, Term] | None:
 def match(pattern: Term, ground: Term) -> dict[str, Term] | None:
     """The dict of bindings that makes `pattern` equal to `ground`, or None.
 
-    One-sided unification: `ground` holds no variables (it is a node, or
-    a term built of atoms, strings, integers, sequences, compounds and
-    nodes), so there is no occurs check and no chain of bindings to
-    follow.  A variable's first occurrence binds it to the value it
-    meets; a later occurrence must meet an equal value.  `_` matches
-    anything.  An element meets the pattern as element(Name,Attrs,Children)
-    with its own attribute and child tuples as the two sequences, so an
-    attribute-list variable binds the element's own attributes.  Succeeds
-    exactly when unify(pattern, ground) does, with the same bindings.
+    `ground` holds no variables: it is a node, or a term built of atoms,
+    strings, integers, sequences, compounds and nodes.  So this is
+    unification with nothing to resolve, and a variable binds the value
+    it meets as it is: a node object, or an element's own attribute or
+    child tuple in a Seq.  Succeeds exactly when unify(pattern, ground)
+    does, with the same bindings.
     """
     bindings: dict[str, Term] = {}
-    return bindings if _match(pattern, ground, bindings) else None
-
-
-def _match(p: Term, g: Term, bindings: dict[str, Term]) -> bool:
-    kind = type(p)
-    if kind is Var:
-        bound = bindings.get(p.name)
-        if bound is None:
-            bindings[p.name] = g
-            return True
-        return _match(bound, g, bindings)  # the binding may hold variables bound in turn
-    if kind is Anonymous:
-        return True
-    ground_kind = type(g)
-    if kind is Compound:
-        if ground_kind is Element:
-            return (
-                p.functor == "element"
-                and len(p.args) == 3
-                and _match(p.args[0], Atom(g.name), bindings)
-                and _match(p.args[1], Seq(g.attributes), bindings)
-                and _match(p.args[2], Seq(g.children), bindings)
-            )
-        if ground_kind is Attribute:
-            return (
-                p.functor == "="
-                and len(p.args) == 2
-                and _match(p.args[0], Atom(g.name), bindings)
-                and _match(p.args[1], Str(g.value), bindings)
-            )
-        leaf = _LEAF_NAMES.get(ground_kind)
-        if leaf is not None:
-            return p.functor == leaf and len(p.args) == 1 and _match(p.args[0], Str(g.content), bindings)
-        return (
-            ground_kind is Compound
-            and p.functor == g.functor
-            and len(p.args) == len(g.args)
-            and _match_all(p.args, g.args, bindings)
-        )
-    if kind is Seq:
-        return (
-            ground_kind is Seq
-            and len(p.items) == len(g.items)
-            and _match_all(p.items, g.items, bindings)
-        )
-    if kind is Atom or kind is Str:
-        return ground_kind is kind and p.text == g.text
-    if kind is Int:
-        return ground_kind is Int and p.value == g.value
-    if ground_kind in _GROUND:
-        return p == g
-    return ground_kind is Compound and _match(g, p, bindings)  # a node meets a term, both ground
-
-
-def _match_all(
-    patterns: tuple[Term, ...], values: tuple[Term, ...], bindings: dict[str, Term]
-) -> bool:
-    for p, g in zip(patterns, values):
-        if not _match(p, g, bindings):
-            return False
-    return True
+    return bindings if _unify(pattern, ground, bindings) else None
 
 
 def term_to_node(term: Term, theta: Mapping[str, Term] | None = None) -> Node:

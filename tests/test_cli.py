@@ -215,17 +215,29 @@ class TestTransform:
         code, out, err = invoke("transform", "-r", str(rules), xml_file('<doc><a flag="1"/>tail</doc>'))
         assert (code, out, err) == (EXIT_OK, "<f/>\n", "")
 
-    def test_wrap_root_makes_hedge_serializable(self, xml_file):
-        code, out, _ = invoke(
+    # The root must be an XML Name (XML 1.0, section 2.3); any other is a usage error.
+    @pytest.mark.parametrize(
+        "name, wrapped",
+        [
+            ("result", True), ("a-b", True), ("x:y", True), ("é", True),
+            ("a b", False), ("", False), ("1a", False),
+        ],
+    )
+    def test_wrap_root_makes_hedge_serializable(self, xml_file, name, wrapped):
+        code, out, err = invoke(
             "transform",
             "-r",
             str(SAMPLES / "text_identity" / "rules.ltl"),
             "--wrap-root",
-            "result",
+            name,
             str(SAMPLES / "text_identity" / "input.xml"),
         )
-        assert code == EXIT_NOT_WELL_FORMED
-        assert out.startswith("<result>") and out.endswith("</result>\n")
+        if wrapped:
+            assert code == EXIT_NOT_WELL_FORMED
+            assert out.startswith(f"<{name}>") and out.endswith(f"</{name}>\n")
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert f"argument --wrap-root: not an XML name: {name!r}" in err
 
     def test_output_file(self, xml_file, tmp_path):
         target = tmp_path / "out.xml"
@@ -366,6 +378,10 @@ class TestRelalg:
         )
         assert code == EXIT_ERROR
         assert "zz" in err
+        code, out, err = invoke(
+            "relalg", "-r", str(SAMPLES / "relations" / "facts.ltl"), "-e", "rename(r,[1])"
+        )
+        assert (code, out, err) == (EXIT_ERROR, "", "ltlx: error: rename needs an atom or string name\n")
 
     def test_identical_invocations_bit_identical(self):
         args = (

@@ -4,6 +4,7 @@ import pytest
 
 from ltlx import element, parse, parse_path_text, parse_rules, serialize, text, transform_document
 from ltlx import engine
+from ltlx.compiler import _Rule
 from ltlx.engine import apply_templates
 from ltlx.errors import (
     DuplicateAttributeError,
@@ -91,6 +92,17 @@ class TestSolveGoals:
             "<h1>T</h1><flagged>A</flagged><other/><other/>"
         )
         assert calls == []
+
+    def test_a_node_unifies_on_either_side_of_an_equation(self):
+        # not/1 makes the rule solved: X, the node, stands left of = in the
+        # negated goal and right of it in the next.
+        rules = parse_rules("template(X,[element(hit,[],[])]):-not(X=element(b,_,_)),element(a,_,_)=X.")
+        assert "_solve(" in _Rule(rules.rules[0], True, True).source()
+        doc = parse('<r><a/><b/><a k="v"/></r>')
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            result = transform_document(rules.with_options(solution_mode=mode), doc)
+            assert not result.well_formed
+            assert "".join(map(serialize, result.nodes)) == "<hit/><hit/>"
 
     def test_transform_requires_node_start(self):
         rs = parse_rules(

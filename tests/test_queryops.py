@@ -365,6 +365,9 @@ class TestReachable:
             reachable(r, (2,), ())
         with pytest.raises(BadIndexPathError):
             follow_index_path(r, (1, 1))
+        leafy = element("r", [], [text("t")])
+        with pytest.raises(BadIndexPathError, match="^index 1 descends into non-element at position 1$"):
+            follow_index_path(leafy, (1, 1))
 
     @staticmethod
     def _simulate(root, start, moves):

@@ -336,6 +336,7 @@ class TestMatch:
                 continue
             successes += 1
             assert theta == expected, (pattern, ground)
+            assert unify(ground, pattern) == expected, (pattern, ground)  # the node on the left
         assert successes > 800 and failures > 400  # both outcomes well covered
 
 

@@ -107,6 +107,16 @@ def test_same_equality_hash_and_repr_as_the_dataclasses(specs):
             assert hash(a) == hash(b)
 
 
+def test_a_value_refuses_missing_extra_and_misnamed_fields():
+    for fields in ((), ("X", "Y")):
+        with pytest.raises(TypeError, match="^Var takes the fields name$"):
+            NEW["Var"](*fields)
+    with pytest.raises(TypeError, match="^Var takes the fields name$"):
+        NEW["Var"](nam="X")
+    with pytest.raises(ValueError, match="^compound functor must be non-empty$"):
+        NEW["Compound"]("", ())
+
+
 def test_equal_contents_in_different_classes_differ():
     Str, Atom, Int, Text = NEW["Str"], NEW["Atom"], NEW["Int"], NEW["Text"]
     assert Str("a") != Atom("a") and Atom("a") != Str("a")
