@@ -17,7 +17,8 @@ A specialised rule runs as code of its own:
 - Variables live in Python locals.  A local holds the raw value of its
   binding's kind (see `_TERMS`): a node, an attribute, a name or string
   as a `str`, an attribute list or hedge as the tuple or list it came
-  from, a `text(V)` content as the Text node itself.
+  from.  A string that a text, PI or comment node holds keeps its leaf:
+  the local holds the leaf, and reads its string as `.content`.
 - A pattern that meets a bound value (the head, a transform or
   template/2 result, the other side of an `=` goal with a bound
   variable) is matched in place.  Level by level, it first tests what
@@ -93,38 +94,12 @@ _NODE_STEPS = (ChildNamed, Children)
 _MAX_NODE_STEPS = 3
 _MAX_LOOPS = 16
 
-# What a local holds, by the kind of its variable's binding: the
-# expression of the term it stands for.  Kinds missing here ("node",
-# "Element", a node known to be an element, and "attr") hold the term
-# itself.  Kind None is a value of a kind that only the run knows.
-_TERMS = {
-    "Atom": "Atom({})",  # the name
-    "Str": "Str({})",  # the string
-    "Text": "Str({}.content)",  # the leaf that holds the string
-    "PI": "Str({}.content)",
-    "Comment": "Str({}.content)",
-    "attrs": "Seq({})",  # an element's attribute tuple
-    "hedge": "Seq({})",  # a tuple or list of nodes
-}
-
-# How a binding of a kind is read where a position needs a value of kind
-# `need`, keyed (kind, need).
-_READS = {
-    **{(kind, kind): "{}" for kind in ("node", "attr", "Atom", "Str", "attrs", "hedge")},
-    **{(leaf, "Str"): "{}.content" for leaf in ("Text", "PI", "Comment")},
-    ("Element", "node"): "{}",
-}
-
-# How a repeated variable compares a binding of a kind by value, as `_unify`
-# compares terms: the class of the term it stands for, and the raw value as
-# that class reads it (a hedge as a tuple, as a template/2 result is a list).
-_COMPARED = {
-    **{kind: (kind, "{}") for kind in ("node", "attr", "Atom", "Str")},
-    **{leaf: ("Str", "{}.content") for leaf in ("Text", "PI", "Comment")},
-    "Element": ("node", "{}"),
-    "attrs": ("Seq", "{}"),
-    "hedge": ("Seq", "tuple({})"),
-}
+# The term that wraps the raw value a local holds, by the kind of its
+# binding: a name, a string, an element's attribute tuple, or a tuple or
+# list of nodes.  The other kinds ("node", "Element", a node known to be an
+# element, and "attr") hold the term itself; None is a value of a kind
+# that only the run knows.
+_TERMS = {"Atom": Atom, "Str": Str, "attrs": Seq, "hedge": Seq}
 
 
 def _path_kind(path: PathExpr, coerce: bool) -> str | None:
@@ -204,16 +179,33 @@ class _Source:
 
 class _Binding:
     """Where a variable's binding lives while a function runs: its local,
-    and its kind (see `_TERMS`)."""
+    its kind (see `_TERMS`), and for a string that a text, PI or comment
+    node holds, that leaf's class.  The local then holds the leaf itself,
+    so that an output of the same leaf type can reuse it."""
 
-    __slots__ = ("local", "kind")
+    __slots__ = ("local", "kind", "leaf")
 
-    def __init__(self, local: str, kind: str | None):
-        self.local, self.kind = local, kind
+    def __init__(self, local: str, kind: str | None, leaf: type | None = None):
+        self.local, self.kind, self.leaf = local, kind, leaf
+
+    def value(self) -> str:
+        """The expression of the raw value of the binding's kind."""
+        return f"{self.local}.content" if self.leaf else self.local
+
+    def reads(self, need: str) -> bool:
+        """Whether a position that needs a value of kind `need` reads it."""
+        return self.kind == need or (self.kind, need) == ("Element", "node")
 
     def term(self) -> str:
         """The expression of the term the binding stands for."""
-        return _TERMS.get(self.kind, "{}").format(self.local)
+        wrap = _TERMS.get(self.kind)
+        return f"{wrap.__name__}({self.value()})" if wrap else self.value()
+
+    def compared(self) -> tuple[object, str]:
+        """The class of the term the binding stands for, as `_unify` compares terms, and
+        the raw value as that class reads it (a hedge as a tuple: a template/2 result is a list)."""
+        cls = _TERMS.get(self.kind) or ("node" if self.kind == "Element" else self.kind)
+        return cls, f"tuple({self.local})" if self.kind == "hedge" else self.value()
 
 
 class _Unspecialised(Exception):
@@ -224,9 +216,11 @@ class _Unspecialised(Exception):
 class _Pattern:
     """Source that matches a pattern against a bound value as `_unify` does,
     binding its new variables to locals; gathered by a walk in `_unify`'s
-    order.  A part it raises `_Unspecialised` on, other than a variable
-    bound to a value of a kind only the run knows, is one that `_unify`
-    fails on: no node, name, list or attribute in its position can take it."""
+    order.  A new variable takes the kind and leaf of the value it meets,
+    and a repeated one compares with it (see `_Binding.compared`).  A part
+    it raises `_Unspecialised` on, other than a variable bound to a value
+    of a kind only the run knows, is one that `_unify` fails on: no node,
+    name, list or attribute in its position can take it."""
 
     def __init__(self, src: _Source, scope: dict[str, _Binding]):
         self.src = src
@@ -246,35 +240,33 @@ class _Pattern:
             lines += [f"if not {check}:", f"    {fail}"]
         return lines
 
-    def meet(self, kind: str | None, p: Term, value: str) -> None:
-        """Walk `p` against `value`, the raw value of a binding of this kind."""
+    def meet(self, p: Term, bound: _Binding) -> None:
+        """Walk `p` against the value `bound` holds."""
         if type(p) is Var:
-            self.var(p, kind, value)
-        elif kind in ("node", "Element"):
-            self.node(p, value, 0)
-        elif kind == "attr":
-            self.attribute(p, value, 0)
-        elif kind in ("attrs", "hedge"):
-            self.seq(p, value, self.attribute if kind == "attrs" else self.node, kind, 0)
-        elif kind == "Atom":
-            self.scalar(p, value, Atom, 0)
-        elif kind is not None:  # a string, or the leaf that holds one
-            self.scalar(p, value if kind == "Str" else f"{value}.content", Str, 0)
+            self.var(p, bound)
+        elif bound.reads("node"):
+            self.node(p, bound.local, 0)
+        elif bound.kind == "attr":
+            self.attribute(p, bound.local, 0)
+        elif bound.kind in ("attrs", "hedge"):
+            self.seq(p, bound, 0)
+        elif bound.kind is not None:  # a name or a string
+            self.scalar(p, bound, 0)
         else:
             raise _Unspecialised
 
-    def var(self, p: Var, kind: str | None, value: str) -> None:
-        """Bind `p` to `value`, the raw value of its kind, or compare it there."""
+    def var(self, p: Var, bound: _Binding) -> None:
+        """Bind `p` to the value `bound` holds, or compare it there."""
         known = self.bound.get(p.name) or self.scope.get(p.name)
         if known is None:
-            local = value
-            if not value.isidentifier():
+            local = bound.local
+            if not local.isidentifier():
                 local = self.src.local()
-                self.binds.append(f"{local} = {value}")
-            self.bound[p.name] = _Binding(local, kind)
-        elif known.kind is not None and kind is not None:
-            (cls, read), (other_cls, other_read) = _COMPARED[known.kind], _COMPARED[kind]
-            same = f"{read.format(known.local)} == {other_read.format(value)}"
+                self.binds.append(f"{local} = {bound.local}")
+            self.bound[p.name] = _Binding(local, bound.kind, bound.leaf)
+        elif known.kind is not None and bound.kind is not None:
+            (cls, read), (other_cls, other_read) = known.compared(), bound.compared()
+            same = f"{read} == {other_read}"
             self.checks.append(same if cls == other_cls else "False")  # an atom never equals a string
         else:
             raise _Unspecialised
@@ -284,48 +276,46 @@ class _Pattern:
         if type(p) is Compound and p.functor == "element" and len(p.args) == 3:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is Element"))
-            self.scalar(p.args[0], f"{e}.name", Atom, level)
-            self.seq(p.args[1], f"{e}.attributes", self.attribute, "attrs", level)
-            self.seq(p.args[2], f"{e}.children", self.node, "hedge", level)
+            self.scalar(p.args[0], _Binding(f"{e}.name", "Atom"), level)
+            self.seq(p.args[1], _Binding(f"{e}.attributes", "attrs"), level)
+            self.seq(p.args[2], _Binding(f"{e}.children", "hedge"), level)
         elif leaf is not None:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is {leaf.__name__}"))
-            if type(p.args[0]) is Var:
-                self.var(p.args[0], leaf.__name__, e)  # the leaf holds the string
-            else:
-                self.scalar(p.args[0], f"{e}.content", Str, level)
+            self.scalar(p.args[0], _Binding(e, "Str", leaf), level)
         elif type(p) is Var:
-            self.var(p, "node", value)
+            self.var(p, _Binding(value, "node"))
         elif type(p) in NODE_TYPES:  # a node in a rule built in Python
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
-    def scalar(self, p: Term, value: str, kind: type, level: int) -> None:
-        if type(p) is kind:
-            self.guards.append((level, 0, f"{value} == {p.text!r}"))
+    def scalar(self, p: Term, bound: _Binding, level: int) -> None:
+        if type(p) is _TERMS[bound.kind]:
+            self.guards.append((level, 0, f"{bound.value()} == {p.text!r}"))
         elif type(p) is Var:
-            self.var(p, kind.__name__, value)
+            self.var(p, bound)
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
-    def seq(self, p: Term, value: str, item: Callable, kind: str, level: int) -> None:
+    def seq(self, p: Term, bound: _Binding, level: int) -> None:
         if type(p) is Seq:
             s = self.src.local()
-            self.guards.append((level, 1, f"len({s} := {value}) == {len(p.items)}"))
+            self.guards.append((level, 1, f"len({s} := {bound.local}) == {len(p.items)}"))
+            item = self.attribute if bound.kind == "attrs" else self.node
             for i, q in enumerate(p.items):
                 item(q, f"{s}[{i}]", level + 1)
         elif type(p) is Var:
-            self.var(p, kind, value)
+            self.var(p, bound)
         elif type(p) is not Anonymous:
             raise _Unspecialised
 
     def attribute(self, p: Term, value: str, level: int) -> None:
         if type(p) is Compound and p.functor == "=" and len(p.args) == 2:
-            self.scalar(p.args[0], f"{value}.name", Atom, level)
-            self.scalar(p.args[1], f"{value}.value", Str, level)
+            self.scalar(p.args[0], _Binding(f"{value}.name", "Atom"), level)
+            self.scalar(p.args[1], _Binding(f"{value}.value", "Str"), level)
         elif type(p) is Var:
-            self.var(p, "attr", value)
+            self.var(p, _Binding(value, "attr"))
         elif type(p) is Attribute:
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
@@ -346,18 +336,17 @@ class _Output:
 
     def lines(self, output: tuple[Term, ...]) -> list[str]:
         """Statements that append the hedge to `out`."""
-        nodes = [self.node(t) for t in output]
+        nodes = [self.node(t).local for t in output]
         if len(nodes) == 1:
             return [*self.body, f"out.append({nodes[0]})"]
         return [*self.body, "out += (" + "".join(f"{node}, " for node in nodes) + ")"]
 
     def load(self, name: str, need: str) -> str:
-        """An expression for variable `name`'s binding, read as `need` says."""
+        """An expression for variable `name`'s binding, read as a value of kind `need`."""
         known = self.scope.get(name)
-        read = None if known is None else _READS.get((known.kind, need))
-        if read is None:
+        if known is None or not known.reads(need):
             raise _Unspecialised
-        return read.format(known.local)
+        return known.value()
 
     def scalar(self, t: Term, kind: type) -> str:
         if type(t) is kind:
@@ -366,18 +355,19 @@ class _Output:
             return self.load(t.name, kind.__name__)
         raise _Unspecialised
 
-    def node(self, t: Term) -> str:
+    def node(self, t: Term) -> _Binding:
+        """Where the node that `t` builds lives: an element, or a node of any type."""
         if type(t) is Var:
-            return self.load(t.name, "node")
+            return _Binding(self.load(t.name, "node"), "node")
         if type(t) is not Compound:
             raise _Unspecialised
         leaf = _LEAF_FUNCTORS.get(t.functor) if len(t.args) == 1 else None
         if leaf is not None:
             content = t.args[0]
             known = self.scope.get(content.name) if type(content) is Var else None
-            if known is not None and known.kind == leaf.__name__:
-                return known.local  # the bound leaf itself
-            return f"{leaf.__name__}({self.scalar(content, Str)})"
+            if known is not None and known.leaf is leaf:
+                return _Binding(known.local, "node")  # the bound leaf itself
+            return _Binding(f"{leaf.__name__}({self.scalar(content, Str)})", "node")
         if t.functor != "element" or len(t.args) != 3:
             raise _Unspecialised
         name_term, attrs, children = t.args
@@ -386,12 +376,12 @@ class _Output:
         if type(children) is Var:
             kids = self.load(children.name, "hedge")
         elif type(children) is Seq:
-            kids = "(" + "".join(f"{self.node(c)}, " for c in children.items) + ")"
+            kids = "(" + "".join(f"{self.node(c).local}, " for c in children.items) + ")"
         else:
             raise _Unspecialised
         e = self.src.local()
         self.body.append(f"{e} = Element({name}, {attributes}, {kids})")
-        return e
+        return _Binding(e, "Element")
 
     def attributes(self, t: Term, name: str) -> str:
         """The attribute tuple, checked for a repeated name unless none can repeat."""
@@ -484,7 +474,7 @@ class _Rule:
     def match(self, fn: _Function, scope: Scope, pattern: Term, bound: _Binding) -> None:
         """Match `pattern` in place against the value `bound` holds."""
         gathered = _Pattern(self.src, scope)
-        gathered.meet(bound.kind, pattern, bound.local)
+        gathered.meet(pattern, bound)
         fn.emit(*gathered.lines(fn.fail()))
         scope.update(gathered.bound)
 
@@ -516,45 +506,43 @@ class _Rule:
         """Bind the fresh variable `name` to `term`: a scalar literal, or a
         node that `_Output` builds with no run-time check."""
         if type(term) in (Atom, Str):
-            value, kind = repr(term.text), type(term).__name__
+            bound = _Binding(repr(term.text), type(term).__name__)
         elif type(term) is Int:
-            value, kind = repr(term.value), None  # no specialised position reads an integer
+            bound = _Binding(repr(term.value), None)  # no specialised position reads an integer
         else:
             output = _Output(self.src, scope)
-            value = output.node(term)
+            bound = output.node(term)
             if output.checked:
                 raise _Unspecialised  # unification does not check attribute names
             fn.emit(*output.body)
-            kind = "Element" if term.functor == "element" else "node"
-        if not value.isidentifier():
+        if not bound.local.isidentifier():
             local = self.src.local()
-            fn.emit(f"{local} = {value}")
-            value = local
-        scope[name] = _Binding(value, kind)
+            fn.emit(f"{local} = {bound.local}")
+            bound = _Binding(local, bound.kind)
+        scope[name] = bound
 
     def node_of(self, name: str | None, scope: Scope) -> _Binding:
         """The binding of the variable that names a goal's node."""
         known = scope.get(name)
-        if known is None or known.kind not in ("node", "Element"):
+        if known is None or not known.reads("node"):
             raise _Unspecialised  # not surely a node: `_bound_node` reports it
         return known
 
     def transform(self, fn: _Function, goal: Transform, scope: Scope) -> None:
         start = self.node_of(goal.path.start, scope)
         if _inlined(goal.path):
-            value, kind = self.path(fn, goal.path, start)
+            found = self.path(fn, goal.path, start)
         else:
-            value, kind = self.src.local(), _path_kind(goal.path, self.coerce)
+            found = _Binding(self.src.local(), _path_kind(goal.path, self.coerce))
             args = f"{start.local}, {self.src.const(goal.path)}, {self.coerce}, R, {self.first}"
-            fn.loop(f"for {value} in _path_values({args}):")
+            fn.loop(f"for {found.local} in _path_values({args}):")
         if type(goal.result) is not Anonymous:
-            self.match(fn, scope, goal.result, _Binding(value, kind))
+            self.match(fn, scope, goal.result, found)
 
-    def path(self, fn: _Function, path: PathExpr, start: _Binding) -> tuple[str, str | None]:
-        """Open the loops of an inlined path from the node `start` holds: the
-        local that holds each value, and its kind.  In first-solution mode a
-        flag set at the first value breaks every loop of the path on its
-        next pass."""
+    def path(self, fn: _Function, path: PathExpr, start: _Binding) -> _Binding:
+        """Open the loops of an inlined path from the node `start` holds, and
+        bind each value it offers.  In first-solution mode a flag set at the
+        first value breaks every loop of the path on its next pass."""
         flag = None
 
         def loop(header: str) -> None:
@@ -580,25 +568,25 @@ class _Rule:
                     fn.emit(f"if {test}:", "    continue")
                 x, element = child, type(step) is ChildNamed
             elif type(step) is AttrValue:
-                a, value, kind = self.src.local(), self.src.local(), "Str"
+                a, found = self.src.local(), _Binding(self.src.local(), "Str")
                 fn.emit(f"for {a} in {x}.attributes:", f"    if {a}.name == {step.name!r}:", "        break")
-                fn.emit("else:", f"    {fn.fail()}", f"{value} = {a}.value")
+                fn.emit("else:", f"    {fn.fail()}", f"{found.local} = {a}.value")
             elif self.coerce:  # the text step: an element's text children, or a text node itself
-                value, kind = self.src.local(), "Text"
-                loop(f"for {value} in {x}.children:" if element else
-                     f"for {value} in ({x}.children if type({x}) is Element else ({x},)):")
-                fn.emit(f"if type({value}) is not Text:", "    continue")
+                found = _Binding(self.src.local(), "Str", Text)
+                loop(f"for {found.local} in {x}.children:" if element else
+                     f"for {found.local} in ({x}.children if type({x}) is Element else ({x},)):")
+                fn.emit(f"if type({found.local}) is not Text:", "    continue")
             else:  # the text step without coercion: a text node itself
-                value, kind = x, "Text"
+                found = _Binding(x, "Str", Text)
                 fn.emit(f"if type({x}) is not Text:", f"    {fn.fail()}")
         if type(path.steps[-1]) in _NODE_STEPS:
-            value, kind = x, "Element" if element else "node"
+            found = _Binding(x, "Element" if element else "node")
             if self.coerce:  # an element stands for its text children
-                value, kind = self.src.local(), "Str" if element else None
-                loop(f"for {value} in {'_coerced_text' if element else '_values'}({x}):")
+                found = _Binding(self.src.local(), "Str" if element else None)
+                loop(f"for {found.local} in {'_coerced_text' if element else '_values'}({x}):")
         if flag:
             fn.emit(f"{flag} = True")
-        return value, kind
+        return found
 
     def template(self, fn: _Function, goal: ApplyTemplates, scope: Scope) -> None:
         node = self.node_of(goal.node.name if type(goal.node) is Var else None, scope)

@@ -238,6 +238,8 @@ class TestTransform:
         else:
             assert (code, out) == (EXIT_USAGE, "")
             assert f"argument --wrap-root: not an XML name: {name!r}" in err
+            # argparse's usage block comes first; the message is the last line.
+            assert err.splitlines()[-1] == f"ltlx transform: error: argument --wrap-root: not an XML name: {name!r}"
 
     def test_output_file(self, xml_file, tmp_path):
         target = tmp_path / "out.xml"
@@ -400,8 +402,9 @@ class TestUsage:
         assert code == EXIT_USAGE
 
     def test_unknown_flag_is_usage_error(self):
-        code, _, _ = invoke("canon", "--frobnicate", "x.xml")
+        code, _, err = invoke("canon", "--frobnicate", "x.xml")
         assert code == EXIT_USAGE
+        assert err.splitlines()[-1] == "ltlx: error: unrecognized arguments: --frobnicate"
 
     def test_usage_and_help_go_to_the_given_streams(self, capsys):
         code, out, err = invoke("query", "x.xml")  # -p is missing

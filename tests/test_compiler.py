@@ -6,8 +6,8 @@ head matcher must bind what `terms.match(head, node)` binds, or fail
 where it fails; the output builder must build what `term_to_node`
 builds from the same bindings, or raise the same exception with the
 same message.  A local holds a raw value (a str, a tuple, a leaf node)
-where its kind says so; `compiled_parts` converts between those and the
-terms `match` binds.  Heads are abstracted from random
+where its kind and leaf say so; `compiled_parts` converts between those
+and the terms `match` binds.  Heads are abstracted from random
 documents (`conftest.abstract`), with repeated variables, `_`,
 attribute-list variables and name=V items, and some get a random term
 grafted in where no node position can take it.  The other tests pin
@@ -31,7 +31,7 @@ from ltlx import parse, parse_rules, serialize
 from ltlx.compiler import _Binding, _Function, _Output, _Rule, _Unspecialised, _compile
 from ltlx.engine import _interpret, apply_templates
 from ltlx.errors import LtlxError, ShapeError, UnboundOutputError
-from ltlx.nodes import NODE_TYPES, PI, Attribute, Comment, Element, Text, document_order, element, text
+from ltlx.nodes import NODE_TYPES, Attribute, Element, Text, document_order, element, text
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
 from ltlx.rules import Rule, RuleSet, Unify
 from ltlx.terms import Atom, Compound, Seq, Str, Var, anon, match, term_to_node, variables_of
@@ -41,12 +41,10 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 # The raw value a local of each kind holds, from the term `match` binds.
+# A string that the head found in a leaf is held as that leaf.
 RAW = {
     "Atom": lambda t: t.text,
     "Str": lambda t: t.text,
-    "Text": lambda t: Text(t.text),
-    "PI": lambda t: PI(t.text),
-    "Comment": lambda t: Comment(t.text),
     "attrs": lambda t: t.items,
     "hedge": lambda t: t.items,
 }
@@ -84,13 +82,16 @@ def compiled_parts(rule, theta=None):
     known = {}
     for name in sorted(set().union(*map(variables_of, rule.output))):
         head = scope.get(name)
-        kind = head.kind if head is not None else goal_kind((theta or {}).get(name))
+        kind, leaf = (head.kind, head.leaf) if head is not None else (goal_kind((theta or {}).get(name)), None)
         if kind is None:
             continue  # free, or of a kind only the run knows: the rule is solved
-        known[name] = _Binding(generated.src.local(), kind)
-        build.emit(f"{known[name].local} = theta.get({name!r})")
+        local = generated.src.local()
+        known[name] = _Binding(local, kind, leaf)
+        build.emit(f"{local} = theta.get({name!r})")
         if kind in RAW:
-            build.emit(f"{known[name].local} = RAW[{kind!r}]({known[name].local})")
+            build.emit(f"{local} = RAW[{kind!r}]({local})")
+        if leaf is not None:  # the head found the string in a leaf of this class
+            build.emit(f"{local} = {leaf.__name__}({local})")
     build.emit("out = []")
     try:
         build.emit(*_Output(generated.src, known).lines(rule.output))
@@ -159,7 +160,8 @@ def test_most_compiled_heads_match_their_own_node():
 
 # A repeated variable compares what `match` compares: a hedge that a
 # template/2 goal returns as a list equals the children tuple it came
-# from, and an element name never equals a text's string.
+# from, an element name never equals a text's string, and a string that a
+# leaf holds equals another leaf's string or an attribute value.
 REPEATED_RULES = (
     (
         "template(element(p,_,C),[element(ok,[],[])]):-C=[X],template(X,C).\n"
@@ -168,6 +170,16 @@ REPEATED_RULES = (
         "<ok/>",
     ),
     ("template(element(N,_,[text(N)]),[element(ok,[],[])]).", "<a>a</a>", ""),
+    (
+        "template(element(a,_,[pi(X),text(X)]),[element(same,[],[])]).",
+        "<r><a><?x?>x</a><a><?x?>y</a></r>",
+        "<same/>",
+    ),
+    (
+        "template(element(a,[k=X],[text(X)]),[element(same,[],[])]).",
+        '<r><a k="v">v</a><a k="v">w</a></r>',
+        "<same/>",
+    ),
 )
 
 
@@ -192,6 +204,33 @@ def test_every_repeated_occurrence_is_compared():
             hedge = apply_templates(moded, doc)
             assert "".join(map(serialize, hedge)) == expected
             assert hedge == reference_engine.apply_templates(moded, doc)
+
+
+# A string that a leaf holds is a string, which a leaf of another type writes.
+LEAF_RULES = (
+    ("template(element(a,_,[pi(X)]),[text(X)]).", "<r><a><?t d?></a></r>", "t d"),
+    ("template(element(a,_,[text(X)]),[comment(X)]).", "<r><a>x</a></r>", "<!--x-->"),
+)
+
+
+@pytest.mark.parametrize("text_, xml, expected", LEAF_RULES)
+def test_a_leaf_string_is_read_as_a_string(text_, xml, expected):
+    rules, doc = parse_rules(text_), parse(xml)
+    assert "_solve(" not in _Rule(rules.rules[0], True, True).source()
+    for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+        moded = rules.with_options(solution_mode=mode)
+        hedge = apply_templates(moded, doc)
+        assert "".join(map(serialize, hedge)) == expected
+        assert hedge == reference_engine.apply_templates(moded, doc)
+
+
+def test_a_bound_text_is_written_as_the_node_itself():
+    rules, doc = parse_rules("template(element(a,_,[text(X)]),[text(X)])."), parse("<r><a>x</a></r>")
+    for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+        moded = rules.with_options(solution_mode=mode)
+        hedge = apply_templates(moded, doc)
+        assert hedge == reference_engine.apply_templates(moded, doc) == (text("x"),)
+        assert hedge[0] is doc.children[0].children[0]
 
 
 def test_a_name_bound_by_the_head_meets_a_literal():
