@@ -148,13 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="commit to first goal solutions (default) or enumerate all",
     )
     p.add_argument(
-        "--all-solutions",
-        action="store_const",
-        dest="solutions",
-        const=ALL_SOLUTIONS,
-        help="shorthand for --solutions all",
-    )
-    p.add_argument(
         "--no-coerce-text",
         action="store_true",
         help="bind transform results as raw nodes, never as their text",

@@ -32,8 +32,8 @@ A specialised rule runs as code of its own:
 - A transform goal whose path is at most three `/name` or `child` steps,
   then maybe `@name` or `#`, is inlined: a loop per step over
   `children`, a scan of `attributes`, a loop over text children.  The
-  loops keep `eval_path`'s order, find nothing under a leaf, and break
-  after the first value in first-solution mode.  Any other path loops
+  loops keep `eval_path`'s order, find nothing under a leaf, and commit
+  to the first value in first-solution mode.  Any other path loops
   over `engine._path_values`, which runs `eval_path`.  The path sets the
   kind: `@`, `id`, `#` and `?` give strings, and so does a `/name` or
   `//name` path under coercion (the text children of each element it
@@ -409,25 +409,31 @@ class _Output:
 class _Function:
     """One generated function: its lines, indentation and open loops."""
 
-    def __init__(self, name: str, params: list[str]):
+    def __init__(self, name: str, params: list[str], first: bool):
         self.lines = [f"def {name}({', '.join(params)}):"]
         self.depth = 1
         self.loops = 0
+        self.first = first  # whether each path commits to its first value
+        self.searching = 0  # the open loops a failure goes back to
+        self.exits: list[int] = []  # the depths of the loops whose running out fails the function
 
     def emit(self, *lines: str) -> None:
         self.lines += ["    " * self.depth + line for line in lines]
 
     def fail(self) -> str:
-        """The statement that backtracks: to the innermost loop, or out."""
-        return "continue" if self.loops else "return None"
+        """The statement that backtracks: to the innermost loop still searching, or out."""
+        return "continue" if self.searching else "return None"
 
     def loop(self, header: str) -> None:
         """Open a loop; the statements emitted next run once per pass."""
-        if not self.loops:
-            self.emit("found = False")
+        if not self.searching:
+            self.exits.append(self.depth)
+            if not self.first:
+                self.emit("found = False")
         self.emit(header)
         self.depth += 1
         self.loops += 1
+        self.searching += 1
 
 
 Scope = dict[str, _Binding]
@@ -449,7 +455,7 @@ class _Rule:
             return self.function(specialise=False)
 
     def function(self, specialise: bool) -> str:
-        fn = _Function("run", ["n", "rs", "R", "out"])
+        fn = _Function("run", ["n", "rs", "R", "out"], self.first)
         scope: Scope = {}
         if self.head(fn, scope):
             if specialise:
@@ -457,9 +463,9 @@ class _Rule:
             else:
                 theta = ", ".join(f"{name!r}: {b.term()}" for name, b in sorted(scope.items()))
                 fn.emit(f"return _solve(rs, RULE, {{{theta}}}, R, out)")
-        if fn.loops:
-            fn.depth = 1
-            fn.emit("return found")
+        for depth in reversed(fn.exits):  # the function fails where such a loop runs out
+            fn.depth = depth
+            fn.emit("return None" if self.first else "return found")
         return "\n".join(fn.lines)
 
     def head(self, fn: _Function, scope: Scope) -> bool:
@@ -490,7 +496,7 @@ class _Rule:
             else:  # not/1, or a transform goal that might nest too many loops
                 raise _Unspecialised
         fn.emit(*_Output(self.src, scope).lines(self.rule.output))
-        fn.emit("found = True" if fn.loops else "return True")
+        fn.emit("found = True" if fn.searching else "return True")
 
     def unify(self, fn: _Function, goal: Unify, scope: Scope) -> None:
         sides = ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs))
@@ -534,26 +540,16 @@ class _Rule:
             found = self.path(fn, goal.path, start)
         else:
             found = _Binding(self.src.local(), _path_kind(goal.path, self.coerce))
-            args = f"{start.local}, {self.src.const(goal.path)}, {self.coerce}, R, {self.first}"
+            args = f"{start.local}, {self.src.const(goal.path)}, {self.coerce}, R"
             fn.loop(f"for {found.local} in _path_values({args}):")
+        if self.first:
+            fn.searching = 0  # the path gave its value, and gives no other
         if type(goal.result) is not Anonymous:
             self.match(fn, scope, goal.result, found)
 
     def path(self, fn: _Function, path: PathExpr, start: _Binding) -> _Binding:
         """Open the loops of an inlined path from the node `start` holds, and
-        bind each value it offers.  In first-solution mode a flag set at the
-        first value breaks every loop of the path on its next pass."""
-        flag = None
-
-        def loop(header: str) -> None:
-            nonlocal flag
-            if self.first and flag is None:
-                flag = self.src.local()
-                fn.emit(f"{flag} = False")
-            fn.loop(header)
-            if flag:
-                fn.emit(f"if {flag}:", "    break")
-
+        bind each value it offers."""
         x, element = start.local, start.kind == "Element"  # the node the next step applies to
         for step in path.steps:
             if type(step) is not TextValue and not element:  # a leaf has no children or attributes
@@ -562,7 +558,7 @@ class _Rule:
                     start.kind = "Element"  # so later goals need not test it again
             if type(step) in _NODE_STEPS:
                 child = self.src.local()
-                loop(f"for {child} in {x}.children:")
+                fn.loop(f"for {child} in {x}.children:")
                 if type(step) is ChildNamed:
                     test = f"type({child}) is not Element or {child}.name != {step.name!r}"
                     fn.emit(f"if {test}:", "    continue")
@@ -573,8 +569,8 @@ class _Rule:
                 fn.emit("else:", f"    {fn.fail()}", f"{found.local} = {a}.value")
             elif self.coerce:  # the text step: an element's text children, or a text node itself
                 found = _Binding(self.src.local(), "Str", Text)
-                loop(f"for {found.local} in {x}.children:" if element else
-                     f"for {found.local} in ({x}.children if type({x}) is Element else ({x},)):")
+                fn.loop(f"for {found.local} in {x}.children:" if element else
+                        f"for {found.local} in ({x}.children if type({x}) is Element else ({x},)):")
                 fn.emit(f"if type({found.local}) is not Text:", "    continue")
             else:  # the text step without coercion: a text node itself
                 found = _Binding(x, "Str", Text)
@@ -583,9 +579,7 @@ class _Rule:
             found = _Binding(x, "Element" if element else "node")
             if self.coerce:  # an element stands for its text children
                 found = _Binding(self.src.local(), "Str" if element else None)
-                loop(f"for {found.local} in {'_coerced_text' if element else '_values'}({x}):")
-        if flag:
-            fn.emit(f"{flag} = True")
+                fn.loop(f"for {found.local} in {'_coerced_text' if element else '_values'}({x}):")
         return found
 
     def template(self, fn: _Function, goal: ApplyTemplates, scope: Scope) -> None:

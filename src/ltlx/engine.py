@@ -83,11 +83,10 @@ def _values(result: Result) -> Iterable[Result]:
     return _coerced_text(result) if type(result) is Element else (result,)
 
 
-def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node, first: bool) -> Iterator[Result]:
+def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node) -> Iterator[Result]:
     """The raw values a transform goal whose path is not inlined offers."""
     results = eval_path(node, path, ALL_SOLUTIONS, coerce, root)
-    values = (value for result in results for value in _values(result)) if coerce else results
-    return islice(values, 1) if first else values
+    return (value for result in results for value in _values(result)) if coerce else results
 
 
 def _boxed(value: Result) -> Term:
@@ -145,7 +144,9 @@ def _solve(
                 if start not in theta:
                     raise InstantiationError(f"transform path start {start or '(implicit)'} is unbound")
                 node = _bound_node(theta, theta[start], f"transform path start {start}")
-                values = _path_values(node, goal.path, rs.coerce_text, root, rs.solution_mode == FIRST_ONLY)
+                values = _path_values(node, goal.path, rs.coerce_text, root)
+                if rs.solution_mode == FIRST_ONLY:
+                    values = islice(values, 1)
                 stack.append(_extended(theta, goal.result, map(_boxed, values)))
             else:
                 hedge: list[Node] = []

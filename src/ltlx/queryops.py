@@ -546,12 +546,7 @@ def eval_path(
     stream: Iterator[Result] = iter((ctx,))
     for position, step in enumerate(path.steps, start=1):
         stream = _apply_step(stream, step, position, coerce_text, base)
-    if mode == FIRST_ONLY:
-        for item in stream:
-            yield item
-            return
-    else:
-        yield from stream
+    yield from islice(stream, 1) if mode == FIRST_ONLY else stream
 
 
 def _coerced_text(node: Node) -> Iterable[str]:

@@ -25,8 +25,8 @@ from typing import Union
 
 from .errors import FIRST_ONLY, RuleLoadError
 from .nodes import Element, Node
-# _Token and parse_path_text are imported for the callers that name them here.
-from .syntax import _Cursor, _Token, _expect_end, _fail, _int, _parse_path, parse_path_text, tokenize
+# _Token is imported for the callers that name it here.
+from .syntax import _Cursor, _Token, _expect_end, _fail, _int, _parse_path, tokenize
 from .terms import Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
 from .values import Value
 

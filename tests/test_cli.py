@@ -263,7 +263,7 @@ class TestTransform:
         doc = xml_file("<d><k><p>x</p><p>y</p></k></d>")
         _, first, _ = invoke("transform", "-r", str(rules), doc)
         assert first == "x\n"
-        _, every, _ = invoke("transform", "-r", str(rules), "--all-solutions", doc)
+        _, every, _ = invoke("transform", "-r", str(rules), "--solutions", "all", doc)
         assert every == "xy\n"
 
     def test_xml_declaration_prefixes_the_output(self):

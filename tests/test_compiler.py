@@ -73,12 +73,12 @@ def compiled_parts(rule, theta=None):
     `term_to_node`, as in a solved rule."""
     generated = _Rule(rule, True, True)
     generated.src.namespace.update(RAW=RAW, _interpret=_interpret)
-    match = _Function("match", ["n"])
+    match = _Function("match", ["n"], generated.first)
     scope = {}
     generated.head(match, scope)
     pairs = "".join(f"({name!r}, {b.local}, {b.term()}), " for name, b in sorted(scope.items()))
     match.emit(f"return {{name: t for name, v, t in ({pairs}) if v is not None}}")
-    build = _Function("build", ["theta"])
+    build = _Function("build", ["theta"], generated.first)
     known = {}
     for name in sorted(set().union(*map(variables_of, rule.output))):
         head = scope.get(name)
@@ -314,12 +314,33 @@ LITERALS = {
 }
 
 
-def random_output(rng, theta, names, depth=2):
+def hold_leaf_strings(rng, term, held):
+    """`term` with about half the strings its text, PI and comment leaves
+    hold made variables.  Adds to `held`, by leaf functor, each variable
+    that a leaf of the result holds as its string."""
+    if type(term) is Compound and term.functor in ("text", "pi", "comment") and len(term.args) == 1:
+        string = term.args[0]
+        if type(string) is Str and rng.random() < 0.5:
+            string = Var(f"L{sum(map(len, held.values())) + 1}")
+        if type(string) is Var:
+            held.setdefault(term.functor, []).append(string.name)
+        return Compound(term.functor, (string,))
+    if type(term) is Compound:
+        return Compound(term.functor, tuple(hold_leaf_strings(rng, a, held) for a in term.args))
+    if type(term) is Seq:
+        return Seq(tuple(hold_leaf_strings(rng, i, held) for i in term.items))
+    return term
+
+
+def random_output(rng, theta, names, held, depth=2):
     """A node-shaped template over `names`.
 
     Most variables are put where their binding fits, and a literal where
     none does; about one position in ten gets any variable, or a term
-    that is not node-shaped there.
+    that is not node-shaped there.  When the head holds strings in leaves
+    (`held`, see `hold_leaf_strings`), a position in four gets such a
+    string in a leaf of the same type, which the builder passes on as the
+    bound leaf itself.
     """
 
     def var(need):
@@ -331,6 +352,9 @@ def random_output(rng, theta, names, depth=2):
     def odd():
         return rng.random() < 0.1
 
+    if held and rng.random() < 0.25:
+        leaf = rng.choice(sorted(held))
+        return Compound(leaf, (Var(rng.choice(held[leaf])),))
     roll = rng.random()
     if roll < 0.25:
         return var("node")
@@ -358,7 +382,7 @@ def random_output(rng, theta, names, depth=2):
     if odd():
         attrs = rng.choice((anon(), var("hedge"), Atom("a")))
     if rng.random() < 0.7:
-        children = Seq(tuple(random_output(rng, theta, names, depth - 1) for _ in range(rng.randint(0, 3))))
+        children = Seq(tuple(random_output(rng, theta, names, held, depth - 1) for _ in range(rng.randint(0, 3))))
     else:
         children = var("hedge")
     if odd():
@@ -370,16 +394,18 @@ def random_build(rng):
     """A rule's output templates and bindings as its goals might leave them."""
     doc = random_document(rng, max_depth=4, max_nodes=30)
     head, node = random_head(rng, doc)
+    held = {}
+    head = hold_leaf_strings(rng, head, held)
     theta = match(head, node)
     if theta is None:  # a builder only ever sees the bindings of a matched head
-        head, theta = Var("H"), {"H": node}
+        head, theta, held = Var("H"), {"H": node}, {}
     # Variables a goal binds, and one that stays unbound.
     goal_names = ["G1", "G2", "G3"]
     for i, name in enumerate(goal_names):
         if rng.random() < 0.8:
             theta[name] = random_value(rng, doc, sorted(theta) + goal_names[:i] + ["U1"])
     names = sorted(theta) + goal_names + ["U1"]
-    output = tuple(random_output(rng, theta, names) for _ in range(rng.randint(1, 3)))
+    output = tuple(random_output(rng, theta, names, held) for _ in range(rng.randint(1, 3)))
     return Rule(head, output), theta
 
 
@@ -611,8 +637,11 @@ def test_a_tested_start_is_not_tested_again():
 
 def test_the_solution_mode_and_coercion_are_compiled_in():
     first, every = generated_source(FLAG_RULE), generated_source(FLAG_RULE, first=False)
-    # The attribute scan breaks at its attribute; in first-solution mode each loop of X/name# breaks too.
-    assert (first.count("break"), every.count("break")) == (3, 1)
+    # Only the attribute scan breaks.  In first-solution mode the rule commits: once X/name# gives
+    # its first value the output returns, and the function fails where the path's loops run out.
+    assert (first.count("break"), every.count("break")) == (1, 1)
+    assert "found" not in first and every.count("found") == 3
+    assert first.endswith("            return True\n    return None"), first
     # Without coercion X/name# reads a text node only, so the element's text never matches.
     assert "for " not in generated_source("template(X,[text(N)]):-transform(X#,N).", coerce=False)
     assert "_coerced_text(" in generated_source("template(X,[text(N)]):-transform(X/name,N).")
@@ -653,6 +682,15 @@ def test_inlined_paths_keep_eval_path_results_in_both_modes():
         assert hedge == reference_engine.apply_templates(moded, doc)
     header = apply_templates(rules, doc)[0]
     assert header.children[0] is doc.children[0].children[0]  # the bound text node itself
+    # X/a commits to the first a, which has no k, so only all-solutions mode writes anything.
+    rules = parse_rules("template(X,[element(o,[],[text(K)])]):-transform(X/a,A),transform(A@k,K).")
+    doc = parse('<r><a/><a k="y"/><a k="z"/></r>')
+    for mode, expected in ((FIRST_ONLY, ""), (ALL_SOLUTIONS, "<o>y</o><o>z</o>")):
+        moded = rules.with_options(solution_mode=mode, coerce_text=False)
+        assert "_solve(" not in _Rule(moded.rules[0], mode == FIRST_ONLY, False).source()
+        hedge = apply_templates(moded, doc)
+        assert "".join(map(serialize, hedge)) == expected
+        assert hedge == reference_engine.apply_templates(moded, doc)
 
 
 # --- solved rules --------------------------------------------------------------
