@@ -198,6 +198,10 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except RecursionError:
         print("ltlx: error: input nested too deeply to process", file=stderr)
         return EXIT_ERROR
+    except MemoryError:
+        pass  # reported once the handler has let go of the traceback, and of the output its frames hold
+    print("ltlx: error: out of memory", file=stderr)
+    return EXIT_ERROR
 
 
 def _dispatch(args: argparse.Namespace, stdout) -> int:

@@ -8,53 +8,56 @@ Each rule becomes one function, `run(n, rs, R, out)`.  It matches the
 head against node `n`, solves the goals left to right and, for each
 solution, appends the output hedge to `out`; it returns a true value
 exactly when the rule fired.  `R` is the document root the lvl step
-reads index paths against.  The rule compiles one of two ways, chosen
-once: specialised when the kind of every binding it uses is known at
-compile time, and solved otherwise.
-
-A specialised rule runs as code of its own:
+reads index paths against.  Every rule runs as code of its own:
 
 - Variables live in Python locals.  A local holds the raw value of its
   binding's kind (see `_TERMS`): a node, an attribute, a name or string
-  as a `str`, an attribute list or hedge as the tuple or list it came
-  from.  A string that a text, PI or comment node holds keeps its leaf:
-  the local holds the leaf, and reads its string as `.content`.
+  as a `str`, a count as an `int`, an attribute list, hedge or index
+  path as the tuple or list it came from.  A string that a text, PI or
+  comment node holds keeps its leaf: the local holds the leaf, and reads
+  its string as `.content`.  A variable bound to a fresh variable, or to
+  a term that holds one, stands for that term at compile time instead.
 - A pattern that meets a bound value (the head, a transform or
   template/2 result, the other side of an `=` goal with a bound
   variable) is matched in place.  Level by level, it first tests what
   can be read off the value without binding anything: node types,
   element names, attribute and child counts, literal names and strings.
   Then it binds the new variables; a repeated variable compares by value.
-  A head with a part that no node can take matches no node.
+  A part that no value can take fails the match.
 - An `=` goal with a fresh variable on one side binds it to a scalar
   literal, to a node built as an output is but with no run-time check,
-  or to the value of a bound variable.
+  or to the value of a bound variable; else the variable stands for the
+  other side.  Two terms split into pairs of arguments, solved left to
+  right, and fail on a functor or arity that differs (the decomposition
+  of Martelli and Montanari, 1982).
 - A transform goal whose path is at most three `/name` or `child` steps,
   then maybe `@name` or `#`, is inlined: a loop per step over
   `children`, a scan of `attributes`, a loop over text children.  The
   loops keep `eval_path`'s order, find nothing under a leaf, and commit
   to the first value in first-solution mode.  Any other path loops
   over `engine._path_values`, which runs `eval_path`.  The path sets the
-  kind: `@`, `id`, `#` and `?` give strings, and so does a `/name` or
-  `//name` path under coercion (the text children of each element it
-  finds); without coercion a node path gives nodes.  Only the run knows
-  the kind of a `count` or `lvl` value, or of a value of another node
-  path under coercion.
+  kind: `@`, `id`, `#` and `?` give strings, `count` an integer, `lvl`
+  an index path.  A node path gives nodes without coercion; under it, a
+  `/name` or `//name` path gives strings (the text children of each
+  element it finds), and any other node path a string or a node, which
+  each use tests.
 - A template/2 goal is one call back into `engine._emit`.
+- A not/1 goal runs in a function of its own that returns at the first
+  solution, so its bindings stay there: negation as failure compiled as
+  `(G -> fail ; true)` (Aït-Kaci, 1991).  A body that might nest past
+  `_MAX_LOOPS` loops continues in such a function too.
 - The output is built by direct `Element` and leaf calls that share the
   bound values: a bound subtree, attribute tuple or hedge is passed as
   it is, and `text(V)` is V's Text node when V holds one.
 
-A rule that uses a value whose kind only the run knows, or that has a
-not/1 goal, an `=` goal of another form, a goal node that is not a
-bound node variable, an output the builder cannot build, or a body
-nested past `_MAX_LOOPS` loops, is solved: its function matches the head
-the same way and hands the head's bindings, as terms, to `engine._solve`.
-
-Errors keep the types and messages of the helpers they come from.  The
-index maps an element name or a leaf type to the rules whose head can
-match such a node, in source order.  A rule whose head is a variable, or
-an element with a variable name, is in every bucket it can match.
+Errors keep the types and messages of the helpers they come from: where
+a free variable, or a value of a kind its position cannot take, makes
+`term_to_node` raise, the code calls `_unbuilt`, which raises that error
+through `term_to_node` itself, and a goal node that is not a bound node
+comes from `_bound_node`.  The index maps an element name or a leaf type
+to the rules whose head can match such a node, in source order.  A rule
+whose head is a variable, or an element with a variable name, is in
+every bucket it can match.
 
 Rule text reaches the generated source only as `repr()` literals and as
 constants in the function's namespace; every name in the source is the
@@ -66,8 +69,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .engine import _emit, _path_values, _solve, _values
-from .nodes import NODE_TYPES, Attribute, Comment, Element, PI, Text, unique_attributes
+from .engine import _emit, _path_values, _values
+from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
+from .nodes import NODE_TYPES, Attribute, Comment, Element, Node, PI, Text, unique_attributes
 from .queryops import (
     FIRST_ONLY,
     AttrValue,
@@ -81,39 +85,41 @@ from .queryops import (
     TextValue,
     _coerced_text,
 )
-from .rules import ApplyTemplates, Rule, Transform, Unify
+from .rules import ApplyTemplates, Not, Rule, Transform, Unify
 from .terms import _LEAF_FUNCTORS, Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
+from .terms import _occurs, _resolve, _walk, is_ground, term_to_node
 
 Compiled = tuple[Rule, Callable]  # (rule, run)
 
 # The steps an inlined path chains, at most _MAX_NODE_STEPS of them,
 # before an optional @name or # step.  So a transform goal opens at most
-# _MAX_NODE_STEPS + 1 loops, and a rule whose body might nest more than
-# _MAX_LOOPS is solved.  CPython allows 20 nested blocks.
+# _MAX_NODE_STEPS + 1 loops, and a body that might nest more than
+# _MAX_LOOPS continues in a function of its own.  CPython allows 20
+# nested blocks in one function.
 _NODE_STEPS = (ChildNamed, Children)
 _MAX_NODE_STEPS = 3
 _MAX_LOOPS = 16
 
-# The term that wraps the raw value a local holds, by the kind of its
-# binding: a name, a string, an element's attribute tuple, or a tuple or
-# list of nodes.  The other kinds ("node", "Element", a node known to be an
-# element, and "attr") hold the term itself; None is a value of a kind
-# that only the run knows.
-_TERMS = {"Atom": Atom, "Str": Str, "attrs": Seq, "hedge": Seq}
+# The term that the raw value a local holds stands for, by the kind of
+# its binding: a name, a string, a count, an element's attribute tuple, a
+# tuple or list of nodes, an index path, or under coercion a string or a
+# node ("coerced").  The other kinds ("node", "Element", a node known to
+# be an element, and "attr") hold the term itself.
+_TERMS = {"Atom": "Atom({})", "Str": "Str({})", "Int": "Int({})", "attrs": "Seq({})", "hedge": "Seq({})",
+          "index": "Seq(tuple(map(Int, {})))", "coerced": "(Str({0}) if type({0}) is str else {0})"}
+_SCALARS = {"Atom": Atom, "Str": Str, "Int": Int, "coerced": Str}
+_SEQS = ("attrs", "hedge", "index")
 
 
-def _path_kind(path: PathExpr, coerce: bool) -> str | None:
-    """The kind of every value a path that is not inlined offers (see
-    `_TERMS`), or None when only the run knows it."""
+def _path_kind(path: PathExpr, coerce: bool) -> str:
+    """The kind of every value a path that is not inlined offers (see `_TERMS`)."""
     steps = [type(step) for step in path.steps if type(step) is not Index]
     last = steps[-1] if steps else Children  # an index alone selects the start node, of any type
-    if last in (CountChildren, Lvl):
-        return None
     if last.yields_values:
-        return "Str"
+        return {CountChildren: "Int", Lvl: "index"}.get(last, "Str")
     if last in (ChildNamed, DescendantOrSelfNamed):
         return "Str" if coerce else "Element"
-    return None if coerce else "node"
+    return "coerced" if coerce else "node"
 
 
 def _inlined(path: PathExpr) -> bool:
@@ -153,15 +159,38 @@ def index_rules(
     return index
 
 
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
+    """The node `term` denotes under `theta`, for a goal node that is not a bound node."""
+    term = _walk(term, theta)
+    if isinstance(term, NODE_TYPES):
+        return term
+    grounded = _resolve(term, theta)
+    if not is_ground(grounded):
+        raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
+    try:
+        return term_to_node(grounded)
+    except ShapeError:
+        raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
+
+
+def _unbuilt(output: tuple[Term, ...], theta: dict[str, Term], label: str) -> None:
+    """Raise what `term_to_node` raises on `output` under `theta`, where the code cannot build it."""
+    try:
+        for template in output:
+            term_to_node(template, theta)
+    except UnboundOutputError as exc:
+        raise UnboundOutputError(exc.variable, label) from None
+
+
 # The names generated code uses, besides a rule's own constants.
-_NAMESPACE = {
-    **{cls.__name__: cls for cls in (Atom, Attribute, Comment, Element, PI, Seq, Str, Text)},
-    **{f.__name__: f for f in (_coerced_text, _emit, _path_values, _solve, _values, unique_attributes)},
-}
+_NAMESPACE = {x.__name__: x for x in (
+    Atom, Attribute, Comment, Element, InstantiationError, Int, PI, Seq, Str, Text,
+    _bound_node, _coerced_text, _emit, _path_values, _unbuilt, _values, unique_attributes,
+)}
 
 
 class _Source:
-    """Locals and namespace constants of one rule's function."""
+    """Locals and namespace constants of one rule's functions."""
 
     def __init__(self, rule: Rule):
         self.count = 0
@@ -185,7 +214,7 @@ class _Binding:
 
     __slots__ = ("local", "kind", "leaf")
 
-    def __init__(self, local: str, kind: str | None, leaf: type | None = None):
+    def __init__(self, local: str, kind: str, leaf: type | None = None):
         self.local, self.kind, self.leaf = local, kind, leaf
 
     def value(self) -> str:
@@ -199,32 +228,42 @@ class _Binding:
     def term(self) -> str:
         """The expression of the term the binding stands for."""
         wrap = _TERMS.get(self.kind)
-        return f"{wrap.__name__}({self.value()})" if wrap else self.value()
+        return wrap.format(self.value()) if wrap else self.value()
 
-    def compared(self) -> tuple[object, str]:
+    def compared(self) -> tuple[str, str]:
         """The class of the term the binding stands for, as `_unify` compares terms, and
         the raw value as that class reads it (a hedge as a tuple: a template/2 result is a list)."""
-        cls = _TERMS.get(self.kind) or ("node" if self.kind == "Element" else self.kind)
+        cls = "Seq" if self.kind in _SEQS else "node" if self.kind == "Element" else self.kind
         return cls, f"tuple({self.local})" if self.kind == "hedge" else self.value()
 
 
-class _Unspecialised(Exception):
-    """The rule is solved: it uses a value or has a part that only the
-    interpreted helpers handle."""
+# A variable's binding, or the term it stands for.  The term layer's
+# `_walk` and `_resolve` read a scope as bindings: a bound variable
+# resolves to its _Binding, one that stands for a term to that term.
+Scope = dict[str, "_Binding | Term"]
+
+
+def _theta(src: _Source, scope: Scope) -> str:
+    """The expression of the bindings in `scope` as the dict of terms the term layer reads."""
+    terms = {name: b.term() if type(b) is _Binding else src.const(b) for name, b in sorted(scope.items())}
+    return "{" + ", ".join(f"{name!r}: {term}" for name, term in terms.items()) + "}"
+
+
+class _NoMatch(Exception):
+    """No value can take a part of a pattern, so the match fails."""
 
 
 class _Pattern:
     """Source that matches a pattern against a bound value as `_unify` does,
     binding its new variables to locals; gathered by a walk in `_unify`'s
     order.  A new variable takes the kind and leaf of the value it meets,
-    and a repeated one compares with it (see `_Binding.compared`).  A part
-    it raises `_Unspecialised` on, other than a variable bound to a value
-    of a kind only the run knows, is one that `_unify` fails on: no node,
-    name, list or attribute in its position can take it."""
+    a repeated one compares with it (see `_Binding.compared`), and one
+    that stands for a term meets the value as that term.  It raises
+    `_NoMatch` on a part that `_unify` fails on: no node, name, list,
+    attribute or integer in its position can take it."""
 
-    def __init__(self, src: _Source, scope: dict[str, _Binding]):
-        self.src = src
-        self.scope = scope
+    def __init__(self, src: _Source, scope: Scope):
+        self.src, self.scope = src, scope
         self.guards: list[tuple[int, int, str]] = []  # (level, phase, test)
         self.binds: list[str] = []
         self.checks: list[str] = []
@@ -240,22 +279,20 @@ class _Pattern:
             lines += [f"if not {check}:", f"    {fail}"]
         return lines
 
-    def meet(self, p: Term, bound: _Binding) -> None:
+    def meet(self, p: Term, bound: _Binding, level: int = 0) -> None:
         """Walk `p` against the value `bound` holds."""
         if type(p) is Var:
-            self.var(p, bound)
-        elif bound.reads("node"):
-            self.node(p, bound.local, 0)
+            self.var(p, bound, level)
+        elif bound.reads("node") or bound.kind == "coerced" and type(p) is not Str:
+            self.node(p, bound.local, level)
         elif bound.kind == "attr":
-            self.attribute(p, bound.local, 0)
-        elif bound.kind in ("attrs", "hedge"):
-            self.seq(p, bound, 0)
-        elif bound.kind is not None:  # a name or a string
-            self.scalar(p, bound, 0)
-        else:
-            raise _Unspecialised
+            self.attribute(p, bound.local, level)
+        elif bound.kind in _SEQS:
+            self.seq(p, bound, level)
+        else:  # a name, a string or an integer, or a string literal that a coerced node never equals
+            self.scalar(p, bound, level)
 
-    def var(self, p: Var, bound: _Binding) -> None:
+    def var(self, p: Var, bound: _Binding, level: int) -> None:
         """Bind `p` to the value `bound` holds, or compare it there."""
         known = self.bound.get(p.name) or self.scope.get(p.name)
         if known is None:
@@ -264,12 +301,12 @@ class _Pattern:
                 local = self.src.local()
                 self.binds.append(f"{local} = {bound.local}")
             self.bound[p.name] = _Binding(local, bound.kind, bound.leaf)
-        elif known.kind is not None and bound.kind is not None:
+        elif type(known) is not _Binding:
+            self.meet(known, bound, level)
+        else:  # an atom never equals a string; a coerced string or node equals a string or a node
             (cls, read), (other_cls, other_read) = known.compared(), bound.compared()
-            same = f"{read} == {other_read}"
-            self.checks.append(same if cls == other_cls else "False")  # an atom never equals a string
-        else:
-            raise _Unspecialised
+            same = cls == other_cls or {cls, other_cls} in ({"coerced", "Str"}, {"coerced", "node"})
+            self.checks.append(f"{read} == {other_read}" if same else "False")
 
     def node(self, p: Term, value: str, level: int) -> None:
         leaf = _LEAF_FUNCTORS.get(p.functor) if type(p) is Compound and len(p.args) == 1 else None
@@ -284,113 +321,122 @@ class _Pattern:
             self.guards.append((level, 0, f"type({e} := {value}) is {leaf.__name__}"))
             self.scalar(p.args[0], _Binding(e, "Str", leaf), level)
         elif type(p) is Var:
-            self.var(p, _Binding(value, "node"))
+            self.var(p, _Binding(value, "node"), level)
         elif type(p) in NODE_TYPES:  # a node in a rule built in Python
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
-            raise _Unspecialised
+            raise _NoMatch
 
     def scalar(self, p: Term, bound: _Binding, level: int) -> None:
-        if type(p) is _TERMS[bound.kind]:
-            self.guards.append((level, 0, f"{bound.value()} == {p.text!r}"))
+        if type(p) is _SCALARS[bound.kind]:
+            self.guards.append((level, 0, f"{bound.value()} == {p.value if type(p) is Int else p.text!r}"))
         elif type(p) is Var:
-            self.var(p, bound)
+            self.var(p, bound, level)
         elif type(p) is not Anonymous:
-            raise _Unspecialised
+            raise _NoMatch
 
     def seq(self, p: Term, bound: _Binding, level: int) -> None:
         if type(p) is Seq:
             s = self.src.local()
             self.guards.append((level, 1, f"len({s} := {bound.local}) == {len(p.items)}"))
-            item = self.attribute if bound.kind == "attrs" else self.node
+            kind = {"attrs": "attr", "hedge": "node", "index": "Int"}[bound.kind]
             for i, q in enumerate(p.items):
-                item(q, f"{s}[{i}]", level + 1)
+                self.meet(q, _Binding(f"{s}[{i}]", kind), level + 1)
         elif type(p) is Var:
-            self.var(p, bound)
+            self.var(p, bound, level)
         elif type(p) is not Anonymous:
-            raise _Unspecialised
+            raise _NoMatch
 
     def attribute(self, p: Term, value: str, level: int) -> None:
         if type(p) is Compound and p.functor == "=" and len(p.args) == 2:
             self.scalar(p.args[0], _Binding(f"{value}.name", "Atom"), level)
             self.scalar(p.args[1], _Binding(f"{value}.value", "Str"), level)
         elif type(p) is Var:
-            self.var(p, _Binding(value, "attr"))
+            self.var(p, _Binding(value, "attr"), level)
         elif type(p) is Attribute:
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
-            raise _Unspecialised
+            raise _NoMatch
 
 
 class _Output:
-    """The source that builds node terms: statements in term_to_node's order.
-    A part it does not build, a free variable, or a binding of another kind
-    than its position reads raises `_Unspecialised`, and `term_to_node`
-    builds the output or reports the error instead."""
+    """The source that builds node terms, resolved in `scope` (so a bound
+    variable is its _Binding): statements in term_to_node's order.  Where a
+    free variable, or a binding of a kind that its position cannot take,
+    makes term_to_node raise, it notes that it is `guarded` and, for a
+    rule's output (`raising`), emits a call of `_unbuilt` there: under a
+    test of the value's type or length, or as the statement that ends the
+    body."""
 
-    def __init__(self, src: _Source, scope: dict[str, _Binding]):
-        self.src = src
-        self.scope = scope
+    def __init__(self, src: _Source, scope: Scope, raising: bool = False):
+        self.src, self.scope, self.raising = src, scope, raising
         self.body: list[str] = []
         self.checked = False  # whether the body checks attribute names as it runs
+        self.guarded = False
+        self.end: int | None = None  # the length of the body once it surely raises
 
     def lines(self, output: tuple[Term, ...]) -> list[str]:
         """Statements that append the hedge to `out`."""
-        nodes = [self.node(t).local for t in output]
+        nodes = [self.node(_resolve(t, self.scope)).local for t in output]
+        if self.end is not None:
+            return self.body[: self.end]
         if len(nodes) == 1:
             return [*self.body, f"out.append({nodes[0]})"]
         return [*self.body, "out += (" + "".join(f"{node}, " for node in nodes) + ")"]
 
-    def load(self, name: str, need: str) -> str:
-        """An expression for variable `name`'s binding, read as a value of kind `need`."""
-        known = self.scope.get(name)
-        if known is None or not known.reads(need):
-            raise _Unspecialised
-        return known.value()
+    def fail(self, test: str = "", value: str = "None") -> str:
+        """Raise where `test` holds, or always; `value` then stands for the value."""
+        self.guarded = True
+        if self.raising and self.end is None:
+            call = f"_unbuilt(RULE.output, {_theta(self.src, self.scope)}, RULE.label)"
+            self.body += [f"if {test}:", f"    {call}"] if test else [call]
+            self.end = None if test else len(self.body)
+        return value
+
+    def load(self, known: _Binding | Term, need: str) -> str:
+        """An expression for a binding read as a value of kind `need`; any other term fails."""
+        if type(known) is not _Binding:
+            return self.fail()
+        if known.reads(need):
+            return known.value()
+        if known.kind == "coerced" and need in ("Str", "node"):
+            return self.fail(f"type({known.local}) is {'not ' * (need == 'Str')}str", known.local)
+        if known.kind in _SEQS and need in _SEQS:  # only an empty one is a sequence of another kind
+            return self.fail(known.local, "()")
+        return self.fail()
 
     def scalar(self, t: Term, kind: type) -> str:
-        if type(t) is kind:
-            return repr(t.text)
-        if type(t) is Var:
-            return self.load(t.name, kind.__name__)
-        raise _Unspecialised
+        return repr(t.text) if type(t) is kind else self.load(t, kind.__name__)
 
     def node(self, t: Term) -> _Binding:
         """Where the node that `t` builds lives: an element, or a node of any type."""
-        if type(t) is Var:
-            return _Binding(self.load(t.name, "node"), "node")
-        if type(t) is not Compound:
-            raise _Unspecialised
-        leaf = _LEAF_FUNCTORS.get(t.functor) if len(t.args) == 1 else None
+        if type(t) in NODE_TYPES:  # a node in a rule built in Python
+            return _Binding(self.src.const(t), "node")
+        leaf = _LEAF_FUNCTORS.get(t.functor) if type(t) is Compound and len(t.args) == 1 else None
         if leaf is not None:
             content = t.args[0]
-            known = self.scope.get(content.name) if type(content) is Var else None
-            if known is not None and known.leaf is leaf:
-                return _Binding(known.local, "node")  # the bound leaf itself
+            if type(content) is _Binding and content.leaf is leaf:
+                return _Binding(content.local, "node")  # the bound leaf itself
             return _Binding(f"{leaf.__name__}({self.scalar(content, Str)})", "node")
-        if t.functor != "element" or len(t.args) != 3:
-            raise _Unspecialised
+        if type(t) is not Compound or t.functor != "element" or len(t.args) != 3:
+            return _Binding(self.load(t, "node"), "node")
         name_term, attrs, children = t.args
         name = self.scalar(name_term, Atom)
         attributes = self.attributes(attrs, name)
-        if type(children) is Var:
-            kids = self.load(children.name, "hedge")
-        elif type(children) is Seq:
+        if type(children) is Seq:
             kids = "(" + "".join(f"{self.node(c).local}, " for c in children.items) + ")"
         else:
-            raise _Unspecialised
+            kids = self.load(children, "hedge")
         e = self.src.local()
         self.body.append(f"{e} = Element({name}, {attributes}, {kids})")
         return _Binding(e, "Element")
 
     def attributes(self, t: Term, name: str) -> str:
         """The attribute tuple, checked for a repeated name unless none can repeat."""
-        if type(t) is Var:
-            return self.load(t.name, "attrs")  # one element's own attributes, which the parser kept unique
         if type(t) is not Seq:
-            raise _Unspecialised
+            return self.load(t, "attrs")  # one element's own attributes, which the parser kept unique
         attributes = "(" + "".join(f"{self.attribute(a)}, " for a in t.items) + ")"
-        names = {a.args[0].text for a in t.items if type(a) is Compound and type(a.args[0]) is Atom}
+        names = {a.args[0].text for a in t.items if type(a) is Compound and a.args and type(a.args[0]) is Atom}
         if len(names) == len(t.items):
             return attributes
         checked = self.src.local()
@@ -399,21 +445,21 @@ class _Output:
         return checked
 
     def attribute(self, t: Term) -> str:
-        if type(t) is Var:
-            return self.load(t.name, "attr")
+        if type(t) is Attribute:
+            return self.src.const(t)
         if type(t) is Compound and t.functor == "=" and len(t.args) == 2:
             return f"Attribute({self.scalar(t.args[0], Atom)}, {self.scalar(t.args[1], Str)})"
-        raise _Unspecialised
+        return self.load(t, "attr")
 
 
 class _Function:
     """One generated function: its lines, indentation and open loops."""
 
-    def __init__(self, name: str, params: list[str], first: bool):
+    def __init__(self, name: str, params: list[str], collect: bool):
         self.lines = [f"def {name}({', '.join(params)}):"]
         self.depth = 1
         self.loops = 0
-        self.first = first  # whether each path commits to its first value
+        self.collect = collect  # whether it appends every solution and returns whether there was one
         self.searching = 0  # the open loops a failure goes back to
         self.exits: list[int] = []  # the depths of the loops whose running out fails the function
 
@@ -428,52 +474,43 @@ class _Function:
         """Open a loop; the statements emitted next run once per pass."""
         if not self.searching:
             self.exits.append(self.depth)
-            if not self.first:
+            if self.collect:
                 self.emit("found = False")
         self.emit(header)
         self.depth += 1
         self.loops += 1
         self.searching += 1
 
-
-Scope = dict[str, _Binding]
+    def source(self) -> str:
+        """The function's source, which fails where a loop of `exits` runs out."""
+        for depth in reversed(self.exits):
+            self.depth = depth
+            self.emit("return found" if self.collect else "return None")
+        return "\n".join(self.lines)
 
 
 class _Rule:
     """The generated source of one rule's `run`, for one solution mode
-    (`first`) and text coercion (`coerce`)."""
+    (`first`) and text coercion (`coerce`), and of the functions it calls."""
 
     def __init__(self, rule: Rule, first: bool, coerce: bool):
         self.rule, self.first, self.coerce = rule, first, coerce
         self.src = _Source(rule)
+        self.functions: list[str] = []
 
     def source(self) -> str:
-        try:
-            return self.function(specialise=True)
-        except _Unspecialised:
-            self.src = _Source(self.rule)
-            return self.function(specialise=False)
-
-    def function(self, specialise: bool) -> str:
-        fn = _Function("run", ["n", "rs", "R", "out"], self.first)
+        fn = _Function("run", ["n", "rs", "R", "out"], not self.first)
         scope: Scope = {}
         if self.head(fn, scope):
-            if specialise:
-                self.goals(fn, scope)
-            else:
-                theta = ", ".join(f"{name!r}: {b.term()}" for name, b in sorted(scope.items()))
-                fn.emit(f"return _solve(rs, RULE, {{{theta}}}, R, out)")
-        for depth in reversed(fn.exits):  # the function fails where such a loop runs out
-            fn.depth = depth
-            fn.emit("return None" if self.first else "return found")
-        return "\n".join(fn.lines)
+            self.goals(fn, scope, self.rule.goals, self.output)
+        return "\n".join([fn.source(), *self.functions])
 
     def head(self, fn: _Function, scope: Scope) -> bool:
         """Match the head against `n`; False when no node can match it."""
         try:
             self.match(fn, scope, self.rule.head, _Binding("n", "node"))
-        except _Unspecialised:
-            fn.emit("return None")  # the head has a part that no node takes
+        except _NoMatch:
+            fn.emit("return None")
             return False
         return True
 
@@ -484,42 +521,86 @@ class _Rule:
         fn.emit(*gathered.lines(fn.fail()))
         scope.update(gathered.bound)
 
-    def goals(self, fn: _Function, scope: Scope) -> None:
-        """Solve the goals in place, and build the output at each solution."""
-        for goal in self.rule.goals:
-            if isinstance(goal, Unify):
-                self.unify(fn, goal, scope)
-            elif isinstance(goal, Transform) and fn.loops + _MAX_NODE_STEPS + 1 <= _MAX_LOOPS:
-                self.transform(fn, goal, scope)
-            elif isinstance(goal, ApplyTemplates):
-                self.template(fn, goal, scope)
-            else:  # not/1, or a transform goal that might nest too many loops
-                raise _Unspecialised
-        fn.emit(*_Output(self.src, scope).lines(self.rule.output))
-        fn.emit("found = True" if fn.searching else "return True")
+    def goals(self, fn: _Function, scope: Scope, goals: tuple, end: Callable) -> None:
+        """Solve `goals` in place, and call `end` at each solution."""
+        for i, goal in enumerate(goals):
+            try:
+                if isinstance(goal, Unify):
+                    self.unify(fn, scope, goal.lhs, goal.rhs)
+                elif isinstance(goal, ApplyTemplates):
+                    self.template(fn, goal, scope)
+                elif isinstance(goal, Not):  # its bindings, and what its tests learn, stay in its function
+                    inner = {name: _Binding(b.local, b.kind, b.leaf) if type(b) is _Binding else b
+                             for name, b in scope.items()}
+                    call = self.function(inner, False, (goal.inner,), lambda f, _: f.emit("return True"))
+                    fn.emit(f"if {call}:", f"    {fn.fail()}")
+                elif goal.path.start not in scope:
+                    unbound = f"transform path start {goal.path.start or '(implicit)'} is unbound"
+                    return fn.emit(f"raise InstantiationError({unbound!r})")
+                elif fn.loops + _MAX_NODE_STEPS + 1 > _MAX_LOOPS:  # the rest runs in a function of its own
+                    call = self.function(scope, True, goals[i:], end)
+                    lines = (f"if {call}:", "    found = True") if fn.searching else (f"return {call}",)
+                    return fn.emit(*lines)
+                else:
+                    self.transform(fn, goal, scope)
+            except _NoMatch:  # no value can take a part of the goal
+                return fn.emit(fn.fail())
+        end(fn, scope)
 
-    def unify(self, fn: _Function, goal: Unify, scope: Scope) -> None:
-        sides = ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs))
-        for var, other in sides:
-            if type(var) is Var and var.name in scope:  # the other side is a pattern for its value
-                return self.match(fn, scope, other, scope[var.name])
-        for var, other in sides:
+    def output(self, fn: _Function, scope: Scope) -> None:
+        """Build the output at a solution."""
+        built = _Output(self.src, scope, True)
+        fn.emit(*built.lines(self.rule.output))
+        if built.end is None:
+            fn.emit("found = True" if fn.collect and fn.searching else "return True")
+
+    def function(self, scope: Scope, collect: bool, goals: tuple, end: Callable) -> str:
+        """Compile `goals` into a function of their own; the call that runs it."""
+        name = self.src.local()
+        params = ["rs", "R", "out", *dict.fromkeys(b.local for b in scope.values() if type(b) is _Binding)]
+        fn = _Function(name, params, collect and not self.first)
+        self.goals(fn, scope, goals, end)
+        self.functions.append(fn.source())
+        return f"{name}({', '.join(params)})"
+
+    def unify(self, fn: _Function, scope: Scope, lhs: Term, rhs: Term) -> None:
+        """Solve lhs = rhs as `_unify` does, in place."""
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if type(bound := _walk(side, scope)) is _Binding:  # the other side is a pattern for its value
+                return self.match(fn, scope, other, bound)
+        a, b = _walk(lhs, scope), _walk(rhs, scope)
+        if type(a) is Anonymous or type(b) is Anonymous or a == b:
+            return
+        for var, other in ((a, b), (b, a)):
             if type(var) is Var:
+                if _occurs(var.name, other, scope):
+                    raise _NoMatch
                 return self.assign(fn, scope, var.name, other)
-        raise _Unspecialised
+        for ground, other in ((a, b), (b, a)):
+            if type(ground) in NODE_TYPES or type(ground) is Attribute:  # a node in a rule built in Python
+                kind = "attr" if type(ground) is Attribute else "node"
+                return self.match(fn, scope, other, _Binding(self.src.const(ground), kind))
+        if type(a) is type(b) is Compound and (a.functor, len(a.args)) == (b.functor, len(b.args)):
+            pairs = zip(a.args, b.args)
+        elif type(a) is type(b) is Seq and len(a.items) == len(b.items):
+            pairs = zip(a.items, b.items)
+        else:
+            raise _NoMatch  # two scalars that differ, or terms of another class, functor or length
+        for x, y in pairs:
+            self.unify(fn, scope, x, y)
 
     def assign(self, fn: _Function, scope: Scope, name: str, term: Term) -> None:
         """Bind the fresh variable `name` to `term`: a scalar literal, or a
-        node that `_Output` builds with no run-time check."""
-        if type(term) in (Atom, Str):
-            bound = _Binding(repr(term.text), type(term).__name__)
-        elif type(term) is Int:
-            bound = _Binding(repr(term.value), None)  # no specialised position reads an integer
+        node that `_Output` builds with no run-time check; else `name`
+        stands for `term`."""
+        if type(term) in (Atom, Str, Int):
+            bound = _Binding(repr(term.value if type(term) is Int else term.text), type(term).__name__)
         else:
             output = _Output(self.src, scope)
-            bound = output.node(term)
-            if output.checked:
-                raise _Unspecialised  # unification does not check attribute names
+            bound = output.node(_resolve(term, scope))
+            if output.checked or output.guarded:  # unification checks no attribute names
+                scope[name] = term
+                return
             fn.emit(*output.body)
         if not bound.local.isidentifier():
             local = self.src.local()
@@ -527,15 +608,25 @@ class _Rule:
             bound = _Binding(local, bound.kind)
         scope[name] = bound
 
-    def node_of(self, name: str | None, scope: Scope) -> _Binding:
-        """The binding of the variable that names a goal's node."""
-        known = scope.get(name)
-        if known is None or not known.reads("node"):
-            raise _Unspecialised  # not surely a node: `_bound_node` reports it
-        return known
+    def node_of(self, fn: _Function, scope: Scope, term: Term, what: str) -> _Binding:
+        """The binding of the node a goal starts from: a bound node, a node
+        built as an output is, or else the node `_bound_node` gives."""
+        if type(known := _walk(term, scope)) is _Binding and known.reads("node"):
+            return known
+        call = f"_bound_node({_theta(self.src, scope)}, {self.src.const(term)}, {what!r})"
+        if type(known) is _Binding and known.kind == "coerced":  # the term layer reports a string
+            fn.emit(f"if type({known.local}) is str:", f"    {call}")
+            return _Binding(known.local, "node")
+        built = _Output(self.src, scope)
+        node, local = built.node(_resolve(term, scope)), self.src.local()
+        if built.guarded:  # the term layer builds the node, or reports why it cannot
+            built.body, node = [], _Binding(call, "node")
+        fn.emit(*built.body, f"{local} = {node.local}")
+        return _Binding(local, node.kind)
 
     def transform(self, fn: _Function, goal: Transform, scope: Scope) -> None:
-        start = self.node_of(goal.path.start, scope)
+        what = f"transform path start {goal.path.start}"
+        start = self.node_of(fn, scope, Var(goal.path.start), what)
         if _inlined(goal.path):
             found = self.path(fn, goal.path, start)
         else:
@@ -578,12 +669,12 @@ class _Rule:
         if type(path.steps[-1]) in _NODE_STEPS:
             found = _Binding(x, "Element" if element else "node")
             if self.coerce:  # an element stands for its text children
-                found = _Binding(self.src.local(), "Str" if element else None)
+                found = _Binding(self.src.local(), "Str" if element else "coerced")
                 fn.loop(f"for {found.local} in {'_coerced_text' if element else '_values'}({x}):")
         return found
 
     def template(self, fn: _Function, goal: ApplyTemplates, scope: Scope) -> None:
-        node = self.node_of(goal.node.name if type(goal.node) is Var else None, scope)
+        node = self.node_of(fn, scope, goal.node, "template goal node")
         hedge = self.src.local()
         fn.emit(f"{hedge} = []", f"_emit(rs, {node.local}, R, {hedge})")
         self.match(fn, scope, goal.result, _Binding(hedge, "hedge"))

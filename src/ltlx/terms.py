@@ -9,12 +9,12 @@ themselves, and an attribute-list variable to the element's own
 attributes, so an output shares what it bound instead of copying it.
 `match` is that unifier against ground data, `unify` the general one
 for `=` goals.  Bindings are a plain dict from variable names to terms,
-triangular in the engine: `_unify` extends one in place, and
-`term_to_node` resolves the chains before it builds.
+possibly triangular: `_unify` extends one in place, and `term_to_node`
+resolves the chains before it builds.
 
 The engine runs each rule as code compiled from it (see `compiler`), so
-terms are built when a rule file loads and by the rules the compiler
-does not specialise, not per node.  Only the scalar classes `Atom`,
+terms are built when a rule file loads and where that code cannot build
+an output or a goal's node, not per node.  Only the scalar classes `Atom`,
 `Str` and `Int`, which `relalg` hashes per fact row, write `==`, `hash`
 and `__reduce__` by hand; the other term classes take them from `Value`.
 """
@@ -193,7 +193,7 @@ def _occurs(name: str, term: Term, bindings: dict[str, Term]) -> bool:
 
 
 def _unify(a: Term, b: Term, bindings: dict[str, Term]) -> bool:
-    # `_walk`, inlined: this runs once per term pair of every solved goal.
+    # `_walk`, inlined: this runs once per term pair.
     while type(a) is Var and a.name in bindings:
         a = bindings[a.name]
     while type(b) is Var and b.name in bindings:

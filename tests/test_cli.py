@@ -422,12 +422,12 @@ class TestUsage:
         assert out == '<a b="2" z="1"/>\n'
 
 
-def run_process(*argv, **env):
+def run_process(*argv, preexec_fn=None, **env):
     """Run `python -m ltlx.cli` in a fresh interpreter; return (exit code, stderr)."""
     paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
     proc = subprocess.run(
-        [sys.executable, "-m", "ltlx.cli", *argv], env=env, capture_output=True, timeout=120
+        [sys.executable, "-m", "ltlx.cli", *argv], env=env, capture_output=True, timeout=120, preexec_fn=preexec_fn
     )
     return proc.returncode, proc.stderr.decode("utf-8", "replace")
 
@@ -467,9 +467,10 @@ class TestDeepInput:
             assert code == exit_code and "Traceback" not in err, (argv, err)
             assert out.read_text(encoding="utf-8") == written
 
-    def test_250_level_chain_through_a_solved_rule(self, tmp_path):
-        # not/1 sends the first rule to the goal solver, which costs the
-        # chain three frames a level; at five, 198 levels were too deep.
+    def test_490_level_chain_through_a_not_rule(self, tmp_path):
+        # The not/1 goal runs in a function of its own that returns before
+        # the template/2 goal, so the chain costs two frames a level, as
+        # through any rule: `_emit` and the rule's function.
         rules = tmp_path / "chain.ltl"
         rules.write_text(
             "template(element(sec,_,[element(t,_,[text(T)]),S]),[element(s,[],[text(T),O])]):-\n"
@@ -477,7 +478,7 @@ class TestDeepInput:
             "template(element(sec,_,[element(t,_,[text(T)])]),[element(s,[],[text(T)])]).\n",
             encoding="utf-8",
         )
-        depth = 250
+        depth = 490
         doc, out = tmp_path / "chain.xml", tmp_path / "out.xml"
         doc.write_text("".join(f"<sec><t>{i}</t>" for i in range(depth)) + "</sec>" * depth, encoding="utf-8")
         code, err = run_process("transform", "-r", str(rules), str(doc), "-o", str(out))
@@ -493,6 +494,22 @@ class TestNoTraceback:
         assert code == EXIT_ERROR
         assert "Traceback" not in err
         assert err.startswith("ltlx: error: ") and err.count("\n") == 1, err
+
+    def test_running_out_of_memory(self, tmp_path):
+        # 60**4 solutions in all-solutions mode outgrow the child's own address space, capped at 400 MB.
+        resource = pytest.importorskip("resource")
+        rules, doc, out = tmp_path / "four.ltl", tmp_path / "r.xml", tmp_path / "out.xml"
+        goals = ",".join(f"transform(X/k#,{v})" for v in "ABCD")
+        rules.write_text(
+            f"template(X,[element(o,[],[text(A),text(B),text(C),text(D)])]):-X=element(r,_,_),{goals}.\n",
+            encoding="utf-8",
+        )
+        doc.write_text("<r>" + "<k>x</k>" * 60 + "</r>", encoding="utf-8")
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))  # noqa: E731
+        argv = ("transform", "--solutions", "all", "-r", str(rules), str(doc), "-o", str(out))
+        code, err = run_process(*argv, preexec_fn=cap)
+        self.assert_one_line_error(code, err)
+        assert err == "ltlx: error: out of memory\n" and not out.exists()
 
     def test_output_the_stdout_encoding_cannot_hold(self, tmp_path):
         path = tmp_path / "latin1.xml"
