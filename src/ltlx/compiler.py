@@ -22,8 +22,10 @@ reads index paths against.  Every rule runs as code of its own:
   variable) is matched in place.  Level by level, it first tests what
   can be read off the value without binding anything: node types,
   element names, attribute and child counts, literal names and strings.
-  Then it binds the new variables; a repeated variable compares by value.
-  A part that no value can take fails the match.
+  Then it binds the new variables; a repeated variable compares as a
+  term, as `_unify` does.  A part that no value can take fails the
+  match.  A node that an `element(...)` pattern or a path's first step
+  tests is known as an element to the code after the test.
 - An `=` goal with a fresh variable on one side binds it to a scalar
   literal, to a node built as an output is but with no run-time check,
   or to the value of a bound variable; else the variable stands for the
@@ -34,8 +36,9 @@ reads index paths against.  Every rule runs as code of its own:
   then maybe `@name` or `#`, is inlined: a loop per step over
   `children`, a scan of `attributes`, a loop over text children.  The
   loops keep `eval_path`'s order, find nothing under a leaf, and commit
-  to the first value in first-solution mode.  Any other path loops
-  over `engine._path_values`, which runs `eval_path`.  The path sets the
+  to the first value in first-solution mode; an `@name` value gets a
+  local only when a variable binds it.  Any other path loops over
+  `engine._path_values`, which runs `eval_path`.  The path sets the
   kind: `@`, `id`, `#` and `?` give strings, `count` an integer, `lvl`
   an index path.  A node path gives nodes without coercion; under it, a
   `/name` or `//name` path gives strings (the text children of each
@@ -230,12 +233,6 @@ class _Binding:
         wrap = _TERMS.get(self.kind)
         return wrap.format(self.value()) if wrap else self.value()
 
-    def compared(self) -> tuple[str, str]:
-        """The class of the term the binding stands for, as `_unify` compares terms, and
-        the raw value as that class reads it (a hedge as a tuple: a template/2 result is a list)."""
-        cls = "Seq" if self.kind in _SEQS else "node" if self.kind == "Element" else self.kind
-        return cls, f"tuple({self.local})" if self.kind == "hedge" else self.value()
-
 
 # A variable's binding, or the term it stands for.  The term layer's
 # `_walk` and `_resolve` read a scope as bindings: a bound variable
@@ -257,10 +254,11 @@ class _Pattern:
     """Source that matches a pattern against a bound value as `_unify` does,
     binding its new variables to locals; gathered by a walk in `_unify`'s
     order.  A new variable takes the kind and leaf of the value it meets,
-    a repeated one compares with it (see `_Binding.compared`), and one
-    that stands for a term meets the value as that term.  It raises
-    `_NoMatch` on a part that `_unify` fails on: no node, name, list,
-    attribute or integer in its position can take it."""
+    a repeated one compares as a term (see `_Binding.term`), and one that
+    stands for a term meets the value as that term.  A node binding that
+    an `element(...)` pattern meets is an "Element" after its guard.  It
+    raises `_NoMatch` on a part that `_unify` fails on: no node, name,
+    list, attribute or integer in its position can take it."""
 
     def __init__(self, src: _Source, scope: Scope):
         self.src, self.scope = src, scope
@@ -284,7 +282,7 @@ class _Pattern:
         if type(p) is Var:
             self.var(p, bound, level)
         elif bound.reads("node") or bound.kind == "coerced" and type(p) is not Str:
-            self.node(p, bound.local, level)
+            self.node(p, bound, level)
         elif bound.kind == "attr":
             self.attribute(p, bound.local, level)
         elif bound.kind in _SEQS:
@@ -303,16 +301,17 @@ class _Pattern:
             self.bound[p.name] = _Binding(local, bound.kind, bound.leaf)
         elif type(known) is not _Binding:
             self.meet(known, bound, level)
-        else:  # an atom never equals a string; a coerced string or node equals a string or a node
-            (cls, read), (other_cls, other_read) = known.compared(), bound.compared()
-            same = cls == other_cls or {cls, other_cls} in ({"coerced", "Str"}, {"coerced", "node"})
-            self.checks.append(f"{read} == {other_read}" if same else "False")
+        else:  # the two terms, as `_unify` compares them
+            self.checks.append(f"{known.term()} == {bound.term()}")
 
-    def node(self, p: Term, value: str, level: int) -> None:
+    def node(self, p: Term, bound: _Binding, level: int) -> None:
+        value = bound.local
         leaf = _LEAF_FUNCTORS.get(p.functor) if type(p) is Compound and len(p.args) == 1 else None
         if type(p) is Compound and p.functor == "element" and len(p.args) == 3:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is Element"))
+            if bound.kind == "node":
+                bound.kind = "Element"  # for the code after the guard
             self.scalar(p.args[0], _Binding(f"{e}.name", "Atom"), level)
             self.seq(p.args[1], _Binding(f"{e}.attributes", "attrs"), level)
             self.seq(p.args[2], _Binding(f"{e}.children", "hedge"), level)
@@ -320,8 +319,6 @@ class _Pattern:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is {leaf.__name__}"))
             self.scalar(p.args[0], _Binding(e, "Str", leaf), level)
-        elif type(p) is Var:
-            self.var(p, _Binding(value, "node"), level)
         elif type(p) in NODE_TYPES:  # a node in a rule built in Python
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
@@ -351,8 +348,6 @@ class _Pattern:
         if type(p) is Compound and p.functor == "=" and len(p.args) == 2:
             self.scalar(p.args[0], _Binding(f"{value}.name", "Atom"), level)
             self.scalar(p.args[1], _Binding(f"{value}.value", "Str"), level)
-        elif type(p) is Var:
-            self.var(p, _Binding(value, "attr"), level)
         elif type(p) is Attribute:
             self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
@@ -655,9 +650,10 @@ class _Rule:
                     fn.emit(f"if {test}:", "    continue")
                 x, element = child, type(step) is ChildNamed
             elif type(step) is AttrValue:
-                a, found = self.src.local(), _Binding(self.src.local(), "Str")
+                a = self.src.local()
                 fn.emit(f"for {a} in {x}.attributes:", f"    if {a}.name == {step.name!r}:", "        break")
-                fn.emit("else:", f"    {fn.fail()}", f"{found.local} = {a}.value")
+                fn.emit("else:", f"    {fn.fail()}")
+                found = _Binding(f"{a}.value", "Str")
             elif self.coerce:  # the text step: an element's text children, or a text node itself
                 found = _Binding(self.src.local(), "Str", Text)
                 fn.loop(f"for {found.local} in {x}.children:" if element else

@@ -27,7 +27,7 @@ from .errors import FIRST_ONLY, RuleLoadError
 from .nodes import Element, Node
 # _Token is imported for the callers that name it here.
 from .syntax import _Cursor, _Token, _expect_end, _fail, _int, _parse_path, tokenize
-from .terms import Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
+from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
 from .values import Value
 
 
@@ -240,11 +240,14 @@ def _check_bindings(rule: Rule, goals: tuple[Goal, ...], bound: set[str]) -> set
     return bound
 
 
-def _check_output_attributes(rule: Rule) -> None:
-    """An output element may not write one attribute name twice."""
+def _check_output(rule: Rule) -> None:
+    """An output may not write the wildcard, which nothing binds, and an
+    output element may not write one attribute name twice."""
     stack = list(reversed(rule.output))
     while stack:
         term = stack.pop()
+        if isinstance(term, Anonymous):
+            raise RuleLoadError(f"{rule.label}: output wildcard _ is never bound")
         if isinstance(term, Compound):
             if term.functor == "element" and len(term.args) == 3 and isinstance(term.args[1], Seq):
                 names = [
@@ -288,7 +291,7 @@ def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:
                 raise RuleLoadError(
                     f"{rule.label}: output variable {var} is never bound"
                 )
-        _check_output_attributes(rule)
+        _check_output(rule)
         rules.append(rule)
         return
     cur.expect("punct", "(")
@@ -305,10 +308,10 @@ def parse_rules(source_text: str) -> RuleSet:
     """Parse rule-file text into a RuleSet, in source order.
 
     Raises ParseError with a 1-based position on syntax errors, and
-    RuleLoadError when an output variable can never be bound, when a
-    transform start or template/2 node variable is not bound by the
-    rule's head or an earlier goal, or when an output element writes one
-    attribute name twice.
+    RuleLoadError when an output variable can never be bound, when an
+    output writes the wildcard `_`, when a transform start or template/2
+    node variable is not bound by the rule's head or an earlier goal, or
+    when an output element writes one attribute name twice.
     """
     cur = _Cursor(tokenize(source_text))
     rules: list[Rule] = []

@@ -422,13 +422,18 @@ class TestUsage:
         assert out == '<a b="2" z="1"/>\n'
 
 
-def run_process(*argv, preexec_fn=None, **env):
-    """Run `python -m ltlx.cli` in a fresh interpreter; return (exit code, stderr)."""
+def child_process(*argv, preexec_fn=None, **env):
+    """Run `python -m ltlx.cli` in a fresh interpreter, capturing its output."""
     paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ltlx.cli", *argv], env=env, capture_output=True, timeout=120, preexec_fn=preexec_fn
     )
+
+
+def run_process(*argv, preexec_fn=None, **env):
+    """Run `python -m ltlx.cli` in a fresh interpreter; return (exit code, stderr)."""
+    proc = child_process(*argv, preexec_fn=preexec_fn, **env)
     return proc.returncode, proc.stderr.decode("utf-8", "replace")
 
 
@@ -510,6 +515,16 @@ class TestNoTraceback:
         code, err = run_process(*argv, preexec_fn=cap)
         self.assert_one_line_error(code, err)
         assert err == "ltlx: error: out of memory\n" and not out.exists()
+
+    def test_running_out_of_memory_in_relalg(self, tmp_path):
+        # 300**4 rows of a product of products outgrow the child's own address space, capped at 400 MB.
+        resource = pytest.importorskip("resource")
+        facts = tmp_path / "facts.ltl"
+        facts.write_text("".join(f"r({i},{i + 1}).\n" for i in range(300)), encoding="utf-8")
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))  # noqa: E731
+        argv = ("relalg", "-r", str(facts), "-e", "cartesian(cartesian(r,r),cartesian(r,r))")
+        proc = child_process(*argv, preexec_fn=cap)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_ERROR, b"ltlx: error: out of memory\n", b"")
 
     def test_output_the_stdout_encoding_cannot_hold(self, tmp_path):
         path = tmp_path / "latin1.xml"

@@ -19,6 +19,7 @@ compile and agree with the reference engine.
 """
 
 import random
+import re
 import traceback
 from pathlib import Path
 
@@ -635,6 +636,16 @@ def test_a_tested_start_is_not_tested_again():
     # X@flag tests that X is an element; X/name# then knows it.
     flag = generated_source(FLAG_RULE)
     assert flag.count("if type(n) is not Element:") == 1, flag
+
+
+def test_a_matched_element_is_not_tested_again():
+    # X=element(item,_,_) proves X an element, in run and in the not/1 goal's function,
+    # and the attribute scan of not(transform(X@flag,_)) keeps no value.
+    for first in (True, False):
+        for coerce in (True, False):
+            run, negated = generated_source(COMPILED_RESIDUE["not"], first, coerce).split("\ndef ")
+            assert len(re.findall(r"type\((v\d+ := )?n\)", run)) == 1, run
+            assert "type(" not in negated and ".value" not in negated, negated
 
 
 def test_the_solution_mode_and_coercion_are_compiled_in():

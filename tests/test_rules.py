@@ -64,6 +64,13 @@ class TestParseRules:
         assert "T" in str(err.value)
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("output", ["element(b,[],_)", "element(b,[k=_],[])", "element(b,[],[text(_)])"])
+    def test_output_wildcard_is_load_error(self, output):
+        # Refused at load, so a rule that never fires cannot hide it.
+        with pytest.raises(RuleLoadError) as err:
+            parse_rules(f"template(text(X),[text(X)]).\ntemplate(element(a,_,_),[{output}]).")
+        assert str(err.value) == "rule at line 2: output wildcard _ is never bound"
+
     def test_output_variable_bound_by_goal_is_fine(self):
         rs = parse_rules('template(element(a,_,_),[text(T)]):-T="x".')
         assert len(rs.rules) == 1
