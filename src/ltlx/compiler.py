@@ -23,7 +23,8 @@ reads index paths against.  Every rule runs as code of its own:
   can be read off the value without binding anything: node types,
   element names, attribute and child counts, literal names and strings.
   Then it binds the new variables; a repeated variable compares as a
-  term, as `_unify` does.  A part that no value can take fails the
+  term, as `_unify` does, or by its raw values when both sides are
+  names, strings or integers.  A part that no value can take fails the
   match.  A node that an `element(...)` pattern or a path's first step
   tests is known as an element to the code after the test.
 - An `=` goal with a fresh variable on one side binds it to a scalar
@@ -254,7 +255,8 @@ class _Pattern:
     """Source that matches a pattern against a bound value as `_unify` does,
     binding its new variables to locals; gathered by a walk in `_unify`'s
     order.  A new variable takes the kind and leaf of the value it meets,
-    a repeated one compares as a term (see `_Binding.term`), and one that
+    a repeated one compares as a term (see `_Binding.term`), or as a raw
+    value when both sides are names, strings or integers, and one that
     stands for a term meets the value as that term.  A node binding that
     an `element(...)` pattern meets is an "Element" after its guard.  It
     raises `_NoMatch` on a part that `_unify` fails on: no node, name,
@@ -301,6 +303,8 @@ class _Pattern:
             self.bound[p.name] = _Binding(local, bound.kind, bound.leaf)
         elif type(known) is not _Binding:
             self.meet(known, bound, level)
+        elif known.kind == bound.kind and known.kind in ("Atom", "Str", "Int"):  # terms of one class: their values
+            self.checks.append(f"{known.value()} == {bound.value()}")
         else:  # the two terms, as `_unify` compares them
             self.checks.append(f"{known.term()} == {bound.term()}")
 

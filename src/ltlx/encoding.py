@@ -13,6 +13,7 @@ text (including Greek letters) never collides with them.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Sequence
 
 from .errors import DecodeError, SentinelCollisionError
@@ -50,8 +51,19 @@ def encode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     children, in attribute order.  Raises SentinelCollisionError if any
     text or attribute value already contains a sentinel.  Runs on an
     explicit stack through `rebuild`.
+
+    Equal attributes share one wrapper element, so the result holds one
+    wrapper per distinct attribute; `is` says nothing about where a
+    wrapper sits, so compare with `==`.  The table lives only as long as
+    the call.
     """
     pi_mark, comment_mark, attr_mark = config.marks
+
+    @cache
+    def wrapper(a: Attribute) -> Element:
+        if pi_mark in a.value or comment_mark in a.value or attr_mark in a.value:
+            _raise_first_collision(node, config)
+        return Element(a.name, (), (Text(attr_mark + a.value),))
 
     def leaf(n: Node) -> Node:
         content = n.content
@@ -62,11 +74,7 @@ def encode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     def element(e: Element, children: Sequence[Node]) -> Node:
         if not e.attributes:
             return e if children is e.children else Element(e.name, (), tuple(children))
-        for a in e.attributes:
-            if pi_mark in a.value or comment_mark in a.value or attr_mark in a.value:
-                _raise_first_collision(node, config)
-        wrapped = (Element(a.name, (), (Text(attr_mark + a.value),)) for a in e.attributes)
-        return Element(e.name, (), (*wrapped, *children))
+        return Element(e.name, (), (*map(wrapper, e.attributes), *children))
 
     return rebuild(node, element, leaf)
 
@@ -99,17 +107,25 @@ def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
     wrappers positioned after real children) raises DecodeError.  Runs on
     an explicit stack through `rebuild`, so of several faults the first
     one closed in post-order is reported.
+
+    Equal decoded values and attributes are shared: one per distinct
+    marked text and one Attribute per distinct name and value, so compare
+    with `==`, not `is`.  The tables live only as long as the call.
     """
     # An attribute-marked text decodes to its value, a str, which the
     # wrapper around it reads.  So `children is e.children` means that
     # nothing under `e` decoded to anything else, and `e` stands for itself.
     decoded = {config.pi_mark: PI, config.comment_mark: Comment, config.attr_mark: str}
+    attribute = cache(Attribute)
+
+    @cache
+    def value(content: str) -> Node | str:
+        return decoded[content[0]](content[1:])
 
     def leaf(n: Node) -> Node | str:
         if type(n) is not Text:
             raise DecodeError(f"{type(n).__name__.lower()} node cannot appear in an encoded document")
-        kind = decoded.get(n.content[:1])
-        return kind(n.content[1:]) if kind else n
+        return value(n.content) if n.content[:1] in decoded else n
 
     def element(e: Element, children: Sequence[Node | Attribute | str]) -> Node | Attribute:
         if e.attributes:
@@ -117,7 +133,7 @@ def decode_core(node: Node, config: SentinelConfig = DEFAULT_SENTINELS) -> Node:
         if children is e.children:
             return e
         if len(children) == 1 and type(children[0]) is str:
-            return Attribute(e.name, children[0])  # a wrapper, read by its parent
+            return attribute(e.name, children[0])  # a wrapper, read by its parent
         n = 0  # the leading children that decoded to attributes
         while n < len(children) and type(children[n]) is Attribute:
             n += 1

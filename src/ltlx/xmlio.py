@@ -11,6 +11,7 @@ attribute values) is emitted as a reference.
 from __future__ import annotations
 
 import xml.parsers.expat as _expat
+from functools import cache
 from typing import Callable
 
 from .errors import ParseDiagnostic, ParseError, SerializeError
@@ -33,6 +34,11 @@ def parse(xml_text: str | bytes) -> Element:
     instructions are discarded.  Raises ParseError with a 1-based position
     for anything that is not well-formed, and at a reference to an
     external entity, which is never read.
+
+    Equal leaves are shared: the document holds one Text per distinct
+    text and one Attribute per distinct name and value, so `is` says
+    nothing about where a text or an attribute sits; compare nodes with
+    `==`.  The sharing tables live only as long as the call.
     """
     root: list[Element] = []
     parser = _expat.ParserCreate()
@@ -73,21 +79,25 @@ def _tree_builder(root: list[Element]) -> tuple[Callable, ...]:
     flushes its buffer every 8192 characters), so the pieces are kept in
     `texts` and become one text node when the next other event arrives:
     a text node never has a text sibling, as in the XPath data model.
+
+    `text` and `attribute` are the node constructors memoised for this
+    parse, so that equal leaves are one node.
     """
     stack: list[tuple[str, tuple[Attribute, ...], list[Node]]] = []
     push, pop = stack.append, stack.pop
     children: list[Node] = root  # type: ignore[assignment]
     texts: list[str] = []
+    text, attribute = cache(Text), cache(Attribute)
 
     def flush() -> None:
-        children.append(Text("".join(texts)))
+        children.append(text("".join(texts)))
         texts.clear()
 
     def start(name: str, attrs: list[str]) -> None:
         nonlocal children
         if texts:
             flush()
-        push((name, tuple(map(Attribute, attrs[::2], attrs[1::2])) if attrs else (), children))
+        push((name, tuple(map(attribute, attrs[::2], attrs[1::2])) if attrs else (), children))
         children = []
 
     def end(name: str) -> None:

@@ -209,6 +209,36 @@ def test_every_repeated_occurrence_is_compared():
             assert hedge == reference_engine.apply_templates(moded, doc)
 
 
+# A repeated variable whose two sides are both names, both strings or both
+# integers compares their raw values, and builds no term to do so.
+SCALAR_REPEATS = (
+    REPEATED_RULES[2][:2],
+    REPEATED_RULES[3][:2],
+    ("template(element(a,[k=V,j=V],_),[element(same,[],[])]).", '<r><a k="v" j="v"/><a k="v" j="w"/></r>'),
+    (
+        "template(element(a,_,[element(V,_,_),element(V,_,_)]),[element(same,[],[])]).",
+        "<r><a><b/><b/></a><a><b/><c/></a></r>",
+    ),
+    (
+        "template(X,[element(same,[],[])]):-X=element(a,_,[A,B]),transform(A count,N),transform(B count,N).",
+        "<r><a><b><c/></b><b><d/></b></a><a><b/><b><c/></b></a></r>",
+    ),
+)
+
+
+@pytest.mark.parametrize("text_, xml", SCALAR_REPEATS)
+def test_repeated_scalars_compare_raw_values(text_, xml):
+    rules, doc = parse_rules(text_), parse(xml)
+    for first in (True, False):
+        for coerce in (True, False):
+            run = generated_source(text_, first, coerce).split("\ndef ")[0]
+            assert "Str(" not in run and "Atom(" not in run and "Int(" not in run, run
+            moded = rules.with_options(solution_mode=FIRST_ONLY if first else ALL_SOLUTIONS, coerce_text=coerce)
+            hedge = apply_templates(moded, doc)
+            assert hedge == reference_engine.apply_templates(moded, doc)
+            assert "".join(map(serialize, hedge)).startswith("<same/>"), hedge
+
+
 # A string that a leaf holds is a string, which a leaf of another type writes.
 LEAF_RULES = (
     ("template(element(a,_,[pi(X)]),[text(X)]).", "<r><a><?t d?></a></r>", "t d"),

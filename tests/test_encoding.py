@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ltlx import decode_core, element, encode_core, text
-from ltlx.encoding import DEFAULT_SENTINELS, SentinelConfig, is_core
+from ltlx import decode_core, element, encode_core, parse, serialize, text
+from ltlx.encoding import DEFAULT_SENTINELS, SentinelConfig, is_core, split_sentinel_text
 from ltlx.errors import DecodeError, SentinelCollisionError
 from ltlx.nodes import Comment, Element, PI, Text, comment, document_order, pi
 
@@ -227,3 +227,21 @@ class TestSplitSentinelText:
         assert not any(mark in part[1:] for part in parts for mark in marks)
         if not content:
             assert parts == [""]
+
+
+class TestSharedLeaves:
+    DOC = '<r a="x"><p k="v">t<?pi d?></p><p k="v">t<?pi d?></p><!--c--><q k="v" a="x"><!--c--></q></r>'
+
+    def test_equal_attributes_share_one_wrapper(self):
+        encoded = encode_core(element("r", [], [element("p", [("k", "v")]), element("p", [("k", "v")])]))
+        (first,), (second,) = (p.children for p in encoded.children)
+        assert first is second and first == element("k", [], [text(ATTR_MARK + "v")])
+
+    def test_textual_round_trip_equals_and_shares(self):
+        doc = parse(self.DOC)
+        back = decode_core(split_sentinel_text(parse(serialize(encode_core(doc)))))
+        assert back == doc and serialize(back) == serialize(doc)
+        p1, p2, c, q = back.children
+        assert p1.attributes[0] is p2.attributes[0] is q.attributes[0]
+        assert back.attributes[0] is q.attributes[1]
+        assert p1.children[1] is p2.children[1] and c is q.children[0]

@@ -1,10 +1,13 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from ltlx import element, parse, serialize, text
+from ltlx import canonicalize, element, eval_path, parse, parse_path_text, serialize, text
 from ltlx.errors import LtlxError, ParseError
 from ltlx.nodes import comment, pi
+from ltlx.queryops import follow_index_path, lvl
 
 from conftest import random_document
 
@@ -160,3 +163,46 @@ class TestRoundTrip:
     def test_raw_cdata_terminator_in_text(self):
         doc = element("a", [], [text("]]>")])
         assert parse(serialize(doc)) == doc
+
+
+# Equal texts and equal attributes, at different depths.
+SHARED = '<r a="x"><p k="v">t</p><p k="v">t</p><q><p k="v">u</p>t</q></r>'
+
+
+def shared_built():
+    """The SHARED document with a node of its own at every position."""
+    return element("r", [("a", "x")], [
+        element("p", [("k", "v")], [text("t")]),
+        element("p", [("k", "v")], [text("t")]),
+        element("q", [], [element("p", [("k", "v")], [text("u")]), text("t")]),
+    ])
+
+
+class TestSharedLeaves:
+    def test_equal_texts_and_attributes_are_one_node(self):
+        doc = parse(SHARED)
+        p1, p2, q = doc.children
+        p3, t = q.children
+        assert p1.children[0] is p2.children[0] is t
+        assert p1.attributes[0] is p2.attributes[0] is p3.attributes[0]
+        assert p3.children[0] is not t and doc.attributes[0] is not p1.attributes[0]
+
+    def test_the_sharing_lasts_one_call(self):
+        assert parse(SHARED).children[0].children[0] is not parse(SHARED).children[0].children[0]
+
+    def test_paths_report_every_position_in_document_order(self):
+        doc, built = parse(SHARED), shared_built()
+        assert doc == built
+        assert list(eval_path(doc, parse_path_text("//p#"))) == ["t", "t", "u"]
+        for path in ("//p#", "//p child lvl", "//* child lvl", "//p@k", "//*#"):
+            found = list(eval_path(doc, parse_path_text(path)))
+            assert found == list(eval_path(built, parse_path_text(path))), path
+        paths = list(lvl(doc, doc.children[0].children[0]))
+        assert paths == [(1, 1), (2, 1), (3, 2)]
+        assert [follow_index_path(doc, p) for p in paths] == [text("t")] * 3
+
+    def test_copies_and_canonical_forms_equal_the_document(self):
+        doc = parse(SHARED)
+        for other in (copy.deepcopy(doc), pickle.loads(pickle.dumps(doc)), canonicalize(doc)):
+            assert other == doc == shared_built()
+            assert serialize(other) == serialize(doc)
