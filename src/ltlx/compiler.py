@@ -1,8 +1,8 @@
 """Rules compiled to Python functions, once per rule set.
 
-`RuleSet.rules_for` calls `index_rules` on a rule set's first transform,
-which compiles each rule for the rule set's solution mode and text
-coercion and indexes the results.
+`engine.apply_templates` calls `index_rules` on a rule set's first
+transform, which compiles each rule for the rule set's solution mode and
+text coercion and indexes the results.
 
 Each rule becomes one function, `run(n, rs, R, out)`.  It matches the
 head against node `n`, solves the goals left to right and, for each
@@ -50,18 +50,20 @@ reads index paths against.  Every rule runs as code of its own:
   solution, so its bindings stay there: negation as failure compiled as
   `(G -> fail ; true)` (Aït-Kaci, 1991).  A body that might nest past
   `_MAX_LOOPS` loops continues in such a function too.
-- The output is built by direct `Element` and leaf calls that share the
-  bound values: a bound subtree, attribute tuple or hedge is passed as
-  it is, and `text(V)` is V's Text node when V holds one.
+- The output, and a goal's node that is not a bound node, are built by
+  direct `Element` and leaf calls that share the bound values: a bound
+  subtree, attribute tuple or hedge is passed as it is, and `text(V)` is
+  V's Text node when V holds one.
 
 Errors keep the types and messages of the helpers they come from: where
 a free variable, or a value of a kind its position cannot take, makes
-`term_to_node` raise, the code calls `_unbuilt`, which raises that error
-through `term_to_node` itself, and a goal node that is not a bound node
-comes from `_bound_node`.  The index maps an element name or a leaf type
-to the rules whose head can match such a node, in source order.  A rule
-whose head is a variable, or an element with a variable name, is in
-every bucket it can match.
+`term_to_node` raise, the code calls `_unbuilt` for an output and
+`_bound_node` for a goal's node, which raise that error through the term
+layer itself; where the node can never be built, nothing follows the
+call.  The index maps an element name or a leaf type to the rules whose
+head can match such a node, in source order.  A rule whose head is a
+variable, or an element with a variable name, is in every bucket it can
+match.
 
 Rule text reaches the generated source only as `repr()` literals and as
 constants in the function's namespace; every name in the source is the
@@ -75,7 +77,7 @@ from typing import Callable
 
 from .engine import _emit, _path_values, _values
 from .errors import InstantiationError, ShapeError, TypeMismatchError, UnboundOutputError
-from .nodes import NODE_TYPES, Attribute, Comment, Element, Node, PI, Text, unique_attributes
+from .nodes import NODE_TYPES, Attribute, Comment, Element, PI, Text, unique_attributes
 from .queryops import (
     FIRST_ONLY,
     AttrValue,
@@ -90,8 +92,8 @@ from .queryops import (
     _coerced_text,
 )
 from .rules import ApplyTemplates, Not, Rule, Transform, Unify
-from .terms import _LEAF_FUNCTORS, Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
-from .terms import _occurs, _resolve, _walk, is_ground, term_to_node
+from .terms import _LEAF_FUNCTORS, _LEAF_NAMES, Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
+from .terms import _node_args, _occurs, _resolve, _walk, is_ground, term_to_node
 
 Compiled = tuple[Rule, Callable]  # (rule, run)
 
@@ -163,16 +165,13 @@ def index_rules(
     return index
 
 
-def _bound_node(theta: dict[str, Term], term: Term, what: str) -> Node:
-    """The node `term` denotes under `theta`, for a goal node that is not a bound node."""
-    term = _walk(term, theta)
-    if isinstance(term, NODE_TYPES):
-        return term
+def _bound_node(theta: dict[str, Term], term: Term, what: str) -> None:
+    """Raise what the term layer raises on a goal's node, `term` under `theta`, where the code cannot build it."""
     grounded = _resolve(term, theta)
     if not is_ground(grounded):
         raise InstantiationError(f"{what} is not fully bound: {grounded!r}")
     try:
-        return term_to_node(grounded)
+        term_to_node(grounded)
     except ShapeError:
         raise TypeMismatchError(f"{what} is not a node: {grounded!r}") from None
 
@@ -247,8 +246,18 @@ def _theta(src: _Source, scope: Scope) -> str:
     return "{" + ", ".join(f"{name!r}: {term}" for name, term in terms.items()) + "}"
 
 
+_FUNCTORS = {Element: "element", Attribute: "=", **_LEAF_NAMES}
+
+
+def _term(t: Term) -> Term:
+    """`t`, or the one-level term that a node or attribute in a rule built in Python reads as."""
+    functor = _FUNCTORS.get(type(t))
+    return t if functor is None else Compound(functor, _node_args(t, functor))
+
+
 class _NoMatch(Exception):
-    """No value can take a part of a pattern, so the match fails."""
+    """No value can take a part of a pattern, so the match fails; or, holding
+    the call that raises, a goal's node can never be built."""
 
 
 class _Pattern:
@@ -281,6 +290,7 @@ class _Pattern:
 
     def meet(self, p: Term, bound: _Binding, level: int = 0) -> None:
         """Walk `p` against the value `bound` holds."""
+        p = _term(p)
         if type(p) is Var:
             self.var(p, bound, level)
         elif bound.reads("node") or bound.kind == "coerced" and type(p) is not Str:
@@ -323,8 +333,6 @@ class _Pattern:
             e = self.src.local()
             self.guards.append((level, 0, f"type({e} := {value}) is {leaf.__name__}"))
             self.scalar(p.args[0], _Binding(e, "Str", leaf), level)
-        elif type(p) in NODE_TYPES:  # a node in a rule built in Python
-            self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
             raise _NoMatch
 
@@ -352,8 +360,6 @@ class _Pattern:
         if type(p) is Compound and p.functor == "=" and len(p.args) == 2:
             self.scalar(p.args[0], _Binding(f"{value}.name", "Atom"), level)
             self.scalar(p.args[1], _Binding(f"{value}.value", "Str"), level)
-        elif type(p) is Attribute:
-            self.checks.append(f"{value} == {self.src.const(p)}")
         elif type(p) is not Anonymous:
             raise _NoMatch
 
@@ -362,13 +368,13 @@ class _Output:
     """The source that builds node terms, resolved in `scope` (so a bound
     variable is its _Binding): statements in term_to_node's order.  Where a
     free variable, or a binding of a kind that its position cannot take,
-    makes term_to_node raise, it notes that it is `guarded` and, for a
-    rule's output (`raising`), emits a call of `_unbuilt` there: under a
-    test of the value's type or length, or as the statement that ends the
-    body."""
+    makes term_to_node raise, it notes that it is `guarded` and, given the
+    call that raises (`raises`, with `{}` for the bindings), emits that
+    call there: under a test of the value's type or length, or as the
+    statement that ends the body."""
 
-    def __init__(self, src: _Source, scope: Scope, raising: bool = False):
-        self.src, self.scope, self.raising = src, scope, raising
+    def __init__(self, src: _Source, scope: Scope, raises: str = ""):
+        self.src, self.scope, self.raises = src, scope, raises
         self.body: list[str] = []
         self.checked = False  # whether the body checks attribute names as it runs
         self.guarded = False
@@ -386,8 +392,8 @@ class _Output:
     def fail(self, test: str = "", value: str = "None") -> str:
         """Raise where `test` holds, or always; `value` then stands for the value."""
         self.guarded = True
-        if self.raising and self.end is None:
-            call = f"_unbuilt(RULE.output, {_theta(self.src, self.scope)}, RULE.label)"
+        if self.raises and self.end is None:
+            call = self.raises.format(_theta(self.src, self.scope))
             self.body += [f"if {test}:", f"    {call}"] if test else [call]
             self.end = None if test else len(self.body)
         return value
@@ -409,8 +415,7 @@ class _Output:
 
     def node(self, t: Term) -> _Binding:
         """Where the node that `t` builds lives: an element, or a node of any type."""
-        if type(t) in NODE_TYPES:  # a node in a rule built in Python
-            return _Binding(self.src.const(t), "node")
+        t = _term(t)
         leaf = _LEAF_FUNCTORS.get(t.functor) if type(t) is Compound and len(t.args) == 1 else None
         if leaf is not None:
             content = t.args[0]
@@ -434,9 +439,10 @@ class _Output:
         """The attribute tuple, checked for a repeated name unless none can repeat."""
         if type(t) is not Seq:
             return self.load(t, "attrs")  # one element's own attributes, which the parser kept unique
-        attributes = "(" + "".join(f"{self.attribute(a)}, " for a in t.items) + ")"
-        names = {a.args[0].text for a in t.items if type(a) is Compound and a.args and type(a.args[0]) is Atom}
-        if len(names) == len(t.items):
+        items = [_term(a) for a in t.items]
+        attributes = "(" + "".join(f"{self.attribute(a)}, " for a in items) + ")"
+        names = {a.args[0].text for a in items if type(a) is Compound and a.args and type(a.args[0]) is Atom}
+        if len(names) == len(items):
             return attributes
         checked = self.src.local()
         self.body.append(f"{checked} = unique_attributes({name}, {attributes})")
@@ -444,8 +450,6 @@ class _Output:
         return checked
 
     def attribute(self, t: Term) -> str:
-        if type(t) is Attribute:
-            return self.src.const(t)
         if type(t) is Compound and t.functor == "=" and len(t.args) == 2:
             return f"Attribute({self.scalar(t.args[0], Atom)}, {self.scalar(t.args[1], Str)})"
         return self.load(t, "attr")
@@ -542,13 +546,13 @@ class _Rule:
                     return fn.emit(*lines)
                 else:
                     self.transform(fn, goal, scope)
-            except _NoMatch:  # no value can take a part of the goal
-                return fn.emit(fn.fail())
+            except _NoMatch as stop:  # no value can take a part of the goal, or its node can only raise
+                return fn.emit(*stop.args or (fn.fail(),))
         end(fn, scope)
 
     def output(self, fn: _Function, scope: Scope) -> None:
         """Build the output at a solution."""
-        built = _Output(self.src, scope, True)
+        built = _Output(self.src, scope, "_unbuilt(RULE.output, {}, RULE.label)")
         fn.emit(*built.lines(self.rule.output))
         if built.end is None:
             fn.emit("found = True" if fn.collect and fn.searching else "return True")
@@ -575,10 +579,7 @@ class _Rule:
                 if _occurs(var.name, other, scope):
                     raise _NoMatch
                 return self.assign(fn, scope, var.name, other)
-        for ground, other in ((a, b), (b, a)):
-            if type(ground) in NODE_TYPES or type(ground) is Attribute:  # a node in a rule built in Python
-                kind = "attr" if type(ground) is Attribute else "node"
-                return self.match(fn, scope, other, _Binding(self.src.const(ground), kind))
+        a, b = _term(a), _term(b)
         if type(a) is type(b) is Compound and (a.functor, len(a.args)) == (b.functor, len(b.args)):
             pairs = zip(a.args, b.args)
         elif type(a) is type(b) is Seq and len(a.items) == len(b.items):
@@ -601,27 +602,28 @@ class _Rule:
                 scope[name] = term
                 return
             fn.emit(*output.body)
-        if not bound.local.isidentifier():
-            local = self.src.local()
-            fn.emit(f"{local} = {bound.local}")
-            bound = _Binding(local, bound.kind)
-        scope[name] = bound
+        scope[name] = self.held(fn, bound)
+
+    def held(self, fn: _Function, bound: _Binding) -> _Binding:
+        """`bound`, its value put in a local of its own unless its expression is a name."""
+        if bound.local.isidentifier():
+            return bound
+        local = self.src.local()
+        fn.emit(f"{local} = {bound.local}")
+        return _Binding(local, bound.kind)
 
     def node_of(self, fn: _Function, scope: Scope, term: Term, what: str) -> _Binding:
-        """The binding of the node a goal starts from: a bound node, a node
-        built as an output is, or else the node `_bound_node` gives."""
+        """The binding of the node a goal starts from: a bound node, or a
+        node built as an output is, where `_bound_node` raises if it cannot
+        be built."""
         if type(known := _walk(term, scope)) is _Binding and known.reads("node"):
             return known
-        call = f"_bound_node({_theta(self.src, scope)}, {self.src.const(term)}, {what!r})"
-        if type(known) is _Binding and known.kind == "coerced":  # the term layer reports a string
-            fn.emit(f"if type({known.local}) is str:", f"    {call}")
-            return _Binding(known.local, "node")
-        built = _Output(self.src, scope)
-        node, local = built.node(_resolve(term, scope)), self.src.local()
-        if built.guarded:  # the term layer builds the node, or reports why it cannot
-            built.body, node = [], _Binding(call, "node")
-        fn.emit(*built.body, f"{local} = {node.local}")
-        return _Binding(local, node.kind)
+        built = _Output(self.src, scope, f"_bound_node({{}}, {self.src.const(term)}, {what!r})")
+        node = built.node(_resolve(term, scope))
+        if built.end is not None:  # it can only raise: the call alone, as the term layer reads the whole term
+            raise _NoMatch(built.body[built.end - 1])
+        fn.emit(*built.body)
+        return self.held(fn, node)
 
     def transform(self, fn: _Function, goal: Transform, scope: Scope) -> None:
         what = f"transform path start {goal.path.start}"

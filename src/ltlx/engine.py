@@ -39,11 +39,17 @@ def _emit(rs: RuleSet, node: Node, root: Node, out: list[Node]) -> None:
     """Append the output of `node` to `out`: the first rule that fires on
     it, else the default descent.  `root` is the document lvl reads.  The
     descent visits children from a stack of its own, so it costs no
-    Python frame per level; only template/2 goals nest calls."""
+    Python frame per level; only template/2 goals nest calls.  A node
+    meets only the rules whose heads can match it (`compiler.index_rules`)."""
+    index = rs._compiled[0]
     stack = [node]
     while stack:
         node = stack.pop()
-        for _, run in rs.rules_for(node):
+        if type(node) is Element:
+            compiled = index.get(node.name) or index[Element]
+        else:
+            compiled = index.get(type(node)) or index[None]
+        for _, run in compiled:
             if run(node, rs, root, out):
                 break
         else:
@@ -67,6 +73,10 @@ def _path_values(node: Node, path: PathExpr, coerce: bool, root: Node) -> Iterat
 
 def apply_templates(rs: RuleSet, node: Node) -> Hedge:
     """Transform `node` under the rule set, returning the output hedge."""
+    if not rs._compiled:  # the rule set's first transform compiles its rules
+        from .compiler import index_rules
+
+        rs._compiled.append(index_rules(rs.rules, rs.solution_mode, rs.coerce_text))
     out: list[Node] = []
     _emit(rs, node, node, out)
     return tuple(out)

@@ -19,7 +19,7 @@ from .errors import DIALECT_LTL, DIALECT_XSLT
 from .nodes import Element, document_order
 from .queryops import PathExpr
 from .rules import ApplyTemplates, Goal, Not, RuleSet, Transform, Unify, parse_rules
-from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var
+from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var, subterms
 from .values import Value
 
 LIST_OPERATOR = "[|]"
@@ -105,24 +105,21 @@ class _Census:
 
 
 def _census_term(term: Term, census: _Census) -> None:
-    if isinstance(term, Var):
-        census.operand(term.name)
-    elif isinstance(term, Anonymous):
-        census.operand("_")
-    elif isinstance(term, Atom):
-        census.operand(term.text)
-    elif isinstance(term, Str):
-        census.operand(f'"{term.text}"')
-    elif isinstance(term, Int):
-        census.operand(str(term.value))
-    elif isinstance(term, Compound):
-        census.operator(term.functor)
-        for arg in term.args:
-            _census_term(arg, census)
-    elif isinstance(term, Seq):
-        census.operator(LIST_OPERATOR)
-        for item in term.items:
-            _census_term(item, census)
+    for term in subterms(term):
+        if isinstance(term, Var):
+            census.operand(term.name)
+        elif isinstance(term, Anonymous):
+            census.operand("_")
+        elif isinstance(term, Atom):
+            census.operand(term.text)
+        elif isinstance(term, Str):
+            census.operand(f'"{term.text}"')
+        elif isinstance(term, Int):
+            census.operand(str(term.value))
+        elif isinstance(term, Compound):
+            census.operator(term.functor)
+        elif isinstance(term, Seq):
+            census.operator(LIST_OPERATOR)
 
 
 def _census_path(path: PathExpr, census: _Census) -> None:

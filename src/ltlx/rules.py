@@ -24,10 +24,9 @@ from __future__ import annotations
 from typing import Union
 
 from .errors import FIRST_ONLY, RuleLoadError
-from .nodes import Element, Node
 # _Token is imported for the callers that name it here.
 from .syntax import _Cursor, _Token, _expect_end, _fail, _int, _parse_path, tokenize
-from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var, anon, variables_of
+from .terms import Anonymous, Atom, Compound, Int, Seq, Str, Term, Var, anon, subterms, variables_of
 from .values import Value
 
 
@@ -91,7 +90,8 @@ class RuleSet(Value):
     Matching tries rules in order; `solution_mode` picks between
     committing to the first goal solution and enumerating all of them.
     The rules are compiled for these options on the first transform (see
-    `rules_for`); a copy made by `with_options` compiles its own.
+    `engine.apply_templates`); a copy made by `with_options` compiles its
+    own.
     """
 
     __slots__ = ("rules", "facts", "solution_mode", "coerce_text", "default_copy_text", "_compiled")
@@ -104,24 +104,12 @@ class RuleSet(Value):
         coerce_text: bool = True,
         default_copy_text: bool = False,
     ) -> None:
-        # _compiled holds the compiled index once rules_for has made it.
+        # _compiled holds the compiled index once the first transform has made it.
         super().__init__(rules, facts, solution_mode, coerce_text, default_copy_text, [])
 
     def with_options(self, **options) -> "RuleSet":
         fields = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
         return RuleSet(**{**fields, **options})
-
-    def rules_for(self, node: Node) -> tuple:
-        """The compiled rules whose heads can match `node`, in source order,
-        as (rule, function) pairs (see `compiler`)."""
-        if not self._compiled:
-            from .compiler import index_rules  # loaded by the first transform only
-
-            self._compiled.append(index_rules(self.rules, self.solution_mode, self.coerce_text))
-        index = self._compiled[0]
-        if type(node) is Element:
-            return index.get(node.name) or index[Element]
-        return index.get(type(node)) or index[None]
 
 
 # --- parser -----------------------------------------------------------------
@@ -129,9 +117,10 @@ class RuleSet(Value):
 # Terms, and not(...) goals with the terms inside them, nested deeper
 # than this are a ParseError at the bracket or parenthesis that opens
 # one level too many.  At 100 levels the parser's own recursion and
-# every later recursive walk of a term (variables_of, the census, repr
-# at about five frames a level, matching, term_to_node) stay well inside
-# Python's default recursion limit of 1000.
+# every later recursive walk of a term (repr at about five frames a
+# level, matching, term_to_node) stay well inside Python's default
+# recursion limit of 1000.  `variables_of`, `is_ground`, the load checks
+# and the census walk a term through `terms.subterms`, with no recursion.
 MAX_TERM_DEPTH = 100
 
 
@@ -243,26 +232,21 @@ def _check_bindings(rule: Rule, goals: tuple[Goal, ...], bound: set[str]) -> set
 def _check_output(rule: Rule) -> None:
     """An output may not write the wildcard, which nothing binds, and an
     output element may not write one attribute name twice."""
-    stack = list(reversed(rule.output))
-    while stack:
-        term = stack.pop()
+    for term in subterms(Seq(rule.output)):  # the output's terms, in order
         if isinstance(term, Anonymous):
             raise RuleLoadError(f"{rule.label}: output wildcard _ is never bound")
-        if isinstance(term, Compound):
-            if term.functor == "element" and len(term.args) == 3 and isinstance(term.args[1], Seq):
-                names = [
-                    item.args[0].text
-                    for item in term.args[1].items
-                    if isinstance(item, Compound) and item.functor == "=" and len(item.args) == 2
-                    and isinstance(item.args[0], Atom)
-                ]
-                for name in [n for i, n in enumerate(names) if n in names[:i]][:1]:
-                    raise RuleLoadError(
-                        f"{rule.label}: output element {term.args[0]!r} writes attribute {name} twice"
-                    )
-            stack.extend(reversed(term.args))
-        elif isinstance(term, Seq):
-            stack.extend(reversed(term.items))
+        if (isinstance(term, Compound) and term.functor == "element" and len(term.args) == 3
+                and isinstance(term.args[1], Seq)):
+            names = [
+                item.args[0].text
+                for item in term.args[1].items
+                if isinstance(item, Compound) and item.functor == "=" and len(item.args) == 2
+                and isinstance(item.args[0], Atom)
+            ]
+            for name in [n for i, n in enumerate(names) if n in names[:i]][:1]:
+                raise RuleLoadError(
+                    f"{rule.label}: output element {term.args[0]!r} writes attribute {name} twice"
+                )
 
 
 def _parse_clause(cur: _Cursor, rules: list[Rule], facts: list[Fact]) -> None:

@@ -22,7 +22,7 @@ and `__reduce__` by hand; the other term classes take them from `Value`.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import ShapeError, UnboundOutputError
 from .nodes import NODE_TYPES, Attribute, Comment, Element, Node, PI, Text, quoted, unique_attributes
@@ -145,22 +145,23 @@ def anon() -> Anonymous:
     return Anonymous(next(_anon_ids))
 
 
+def subterms(term: Term) -> Iterator[Term]:
+    """`term` and every term inside it, pre-order and left to right.  The
+    walk keeps a stack of its own, so a deep term costs no Python frames."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        yield term
+        kind = type(term)
+        if kind is Compound:
+            stack += term.args[::-1]
+        elif kind is Seq:
+            stack += term.items[::-1]
+
+
 def variables_of(term: Term) -> set[str]:
     """Names of all named variables occurring in `term` (wildcards excluded)."""
-    out: set[str] = set()
-    _collect_vars(term, out)
-    return out
-
-
-def _collect_vars(term: Term, out: set[str]) -> None:
-    if isinstance(term, Var):
-        out.add(term.name)
-    elif isinstance(term, Compound):
-        for a in term.args:
-            _collect_vars(a, out)
-    elif isinstance(term, Seq):
-        for i in term.items:
-            _collect_vars(i, out)
+    return {t.name for t in subterms(term) if type(t) is Var}
 
 
 def apply_subst(theta: Mapping[str, Term], term: Term) -> Term:
@@ -367,10 +368,4 @@ def _to_attribute(term: Term) -> Attribute:
 
 def is_ground(term: Term) -> bool:
     """True when the term contains no variables or wildcards."""
-    if isinstance(term, (Var, Anonymous)):
-        return False
-    if isinstance(term, Compound):
-        return all(is_ground(a) for a in term.args)
-    if isinstance(term, Seq):
-        return all(is_ground(i) for i in term.items)
-    return True
+    return not any(type(t) is Var or type(t) is Anonymous for t in subterms(term))

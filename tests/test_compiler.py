@@ -30,9 +30,9 @@ import reference_engine
 from conftest import abstract, random_document, random_term, rename, wildcards
 from reference_engine import node_to_term
 from ltlx import parse, parse_rules, serialize
-from ltlx.compiler import _Binding, _Function, _Output, _Rule, _compile, _unbuilt
+from ltlx.compiler import _Binding, _Function, _Output, _Rule, _compile, _unbuilt, index_rules
 from ltlx.engine import apply_templates
-from ltlx.errors import LtlxError, ShapeError, UnboundOutputError
+from ltlx.errors import LtlxError, ShapeError, TypeMismatchError, UnboundOutputError
 from ltlx.nodes import NODE_TYPES, Attribute, Element, Text, document_order, element, text
 from ltlx.queryops import ALL_SOLUTIONS, FIRST_ONLY
 from ltlx.rules import Rule, RuleSet, Unify
@@ -100,7 +100,8 @@ def compiled_parts(rule, theta=None):
             build.emit(f"{local} = RAW[{kind!r}]({local})")
         if leaf is not None:  # the head found the string in a leaf of this class
             build.emit(f"{local} = {leaf.__name__}({local})")
-    build.emit("out = []", *_Output(generated.src, known, True).lines(rule.output), "return tuple(out)")
+    raises = "_unbuilt(RULE.output, {}, RULE.label)"
+    build.emit("out = []", *_Output(generated.src, known, raises).lines(rule.output), "return tuple(out)")
     source = "\n".join(match.lines + build.lines)
     exec(compile(source, f"<ltlx {rule.label}>", "exec"), generated.src.namespace)
     return generated.src.namespace["match"], generated.src.namespace["build"]
@@ -532,11 +533,15 @@ def test_a_rule_set_compiles_once_for_its_own_options():
     rules = parse_rules(source)
     doc = element("r", [], [element("a")])
     apply_templates(rules, doc)
-    compiled = rules.rules_for(doc.children[0])
-    assert rules.rules_for(doc.children[0]) is compiled
+    (compiled,) = rules._compiled
+    apply_templates(rules, doc)
+    assert len(rules._compiled) == 1 and rules._compiled[0] is compiled
     copy = rules.with_options(solution_mode=ALL_SOLUTIONS)
-    assert copy.rules_for(doc.children[0]) is not compiled
-    assert copy.rules_for(doc.children[0]) is copy.rules_for(doc.children[0])
+    apply_templates(copy, doc)
+    (copied,) = copy._compiled
+    assert copied is not compiled and copied["a"] is not compiled["a"]
+    apply_templates(copy, doc)
+    assert len(copy._compiled) == 1 and copy._compiled[0] is copied
     assert rules == parse_rules(source)  # the compiled code is no part of a rule set's value
 
 
@@ -557,11 +562,17 @@ INDEXED_DOC = (
 
 def test_index_buckets_keep_source_order():
     rs = parse_rules(INDEXED_RULES)
-    lines = lambda node: [rule.line for rule, _ in rs.rules_for(node)]  # noqa: E731
-    assert lines(element("item")) == [1, 2, 3, 5]
-    assert lines(element("nowhere")) == [2, 5]
-    assert lines(text("x")) == [2, 4]
-    assert lines(parse("<a><?p x?></a>").children[0]) == [2]
+    index = index_rules(rs.rules, FIRST_ONLY, True)
+    lines = lambda key: [rule.line for rule, _ in index[key]]  # noqa: E731
+    assert lines("item") == [1, 2, 3, 5]
+    assert "nowhere" not in index and lines(Element) == [2, 5]  # an element of a name no head writes
+    assert lines(Text) == [2, 4]
+    assert lines(type(parse("<a><?p x?></a>").children[0])) == [2]
+    # The engine looks an element of such a name up in the Element bucket, where both rules fire.
+    assert apply_templates(rs, element("nowhere", [("k", "1")])) == (element("var", [("n", "1")]),)
+    assert apply_templates(rs, parse('<nowhere flag="f"><z>1</z></nowhere>')) == (
+        element("guard", [("z", "1")], [text("f")]),
+    )
 
 
 def test_index_keeps_the_red_cut_and_source_order_in_both_modes():
@@ -581,7 +592,11 @@ def test_node_of_an_unknown_type_meets_only_variable_heads():
         pass
 
     rs = parse_rules(INDEXED_RULES)
-    assert [rule.line for rule, _ in rs.rules_for(Marker("x"))] == [2]
+    index = index_rules(rs.rules, FIRST_ONLY, True)
+    assert Marker not in index and [rule.line for rule, _ in index[None]] == [2]
+    # The engine looks a node of such a type up in the None bucket, where a variable head fires.
+    anything = parse_rules("template(text(T),[element(t,[],[])]).\ntemplate(X,[element(any,[],[])]).")
+    assert apply_templates(anything, Marker("x")) == (element("any"),)
 
 
 # --- bodies and paths nested deeper than one function holds ------------------
@@ -777,3 +792,72 @@ def test_residue_forms_compile_and_agree_with_the_reference(name):
             if type(expected) is tuple:  # the same exception type; the reference words its own messages
                 expected, got = expected[0], got[0] if type(got) is tuple else got
             assert got == expected, (name, mode, coerce_text)
+
+
+# --- = goals solved at compile time, and goal nodes the code cannot build -----
+
+# (goal, output, the serialized hedge on UNIFY_DOC).  The first five need no code: a
+# wildcard side, or two equal terms.  Two lists split into pairs; a pair of atoms, or
+# lists of two lengths, that differ never unify.
+UNIFY_GOALS = (
+    ("X=_", "element(ok,[],[])", "<ok/>"),
+    ("_=a", "element(ok,[],[])", "<ok/>"),
+    ("a=a", "element(ok,[],[])", "<ok/>"),
+    ('"s"="s"', "element(ok,[],[])", "<ok/>"),
+    ("f(X)=f(X)", "element(ok,[],[])", "<ok/>"),
+    ("[A,B]=[C,D]", "element(ok,[],[])", "<ok/>"),
+    ('[T,x]=["s",x]', "text(T)", "s"),
+    ("a=b", "element(ok,[],[])", ""),
+    ('[T,x]=["s",y]', "text(T)", ""),
+    ("[A]=[B,C]", "element(ok,[],[])", ""),
+)
+UNIFY_DOC = "<r><a/><b/></r>"
+
+
+@pytest.mark.parametrize("goal, output, expected", UNIFY_GOALS)
+def test_compile_time_unification_agrees_with_the_reference(goal, output, expected):
+    rules = parse_rules(f"template(element(a,_,_),[{output}]):-{goal}.")
+    doc = parse(UNIFY_DOC)
+    for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+        moded = rules.with_options(solution_mode=mode)
+        hedge = apply_templates(moded, doc)
+        assert hedge == reference_engine.apply_templates(moded, doc), (goal, mode)
+        assert "".join(map(serialize, hedge)) == expected, (goal, mode)
+    if goal in [g for g, _, _ in UNIFY_GOALS[:5]]:  # no code: the function of the rule without the goal
+        for first in (True, False):
+            plain = generated_source(f"template(element(a,_,_),[{output}]).", first)
+            assert generated_source(f"template(element(a,_,_),[{output}]):-{goal}.", first) == plain
+
+
+def test_a_goal_node_that_can_only_raise_ends_the_function():
+    text_ = "template(element(zz,_,_),[O]):-template(3,O)."
+    for first in (True, False):
+        for coerce in (True, False):
+            run = generated_source(text_, first, coerce)
+            assert run.splitlines()[-1].lstrip().startswith("_bound_node("), run
+            assert "_emit(" not in run and "_unbuilt(" not in run, run
+    rules = parse_rules(text_)
+    for engine in (apply_templates, reference_engine.apply_templates):
+        with pytest.raises(TypeMismatchError) as err:
+            engine(rules, parse("<zz/>"))
+        assert str(err.value) == "template goal node is not a node: 3"
+
+
+def test_a_goal_node_that_may_not_be_a_node_raises_only_then():
+    # Under coercion T is a child that is no element, or the string of an element child's
+    # text; only a string fails the build.
+    rules = parse_rules("template(X,[element(o,[],R)]):-X=element(a,_,_),transform(X child,T),"
+                        "template(element(w,[],[T]),R).")
+    outcomes = {}
+    for xml in ("<a>x<b>y</b></a>", "<a><b>y</b>x</a>"):
+        doc = parse(xml)
+        for mode in (FIRST_ONLY, ALL_SOLUTIONS):
+            moded = rules.with_options(solution_mode=mode)
+            outcomes[xml, mode] = outcome(lambda: apply_templates(moded, doc))
+            assert outcomes[xml, mode] == outcome(lambda: reference_engine.apply_templates(moded, doc))
+    raised = (TypeMismatchError, 'template goal node is not a node: element(w,[],["y"])')
+    assert outcomes["<a>x<b>y</b></a>", FIRST_ONLY] == (element("o"),)
+    assert outcomes["<a>x<b>y</b></a>", ALL_SOLUTIONS] == raised
+    assert outcomes["<a><b>y</b>x</a>", FIRST_ONLY] == raised
+    run = _Rule(rules.rules[0], True, True).source()
+    assert re.search(r"if type\((v\d+)\) is str:\n +_bound_node\(.*\n +v\d+ = Element\('w', \(\), \(\1, \)\)", run), run

@@ -199,6 +199,11 @@ class TestSplitSentinelText:
         emitted = serialize(encode_core(doc))
         assert decode_core(split_sentinel_text(parse(emitted))) == doc
 
+    def test_a_leaf_root_comes_back_as_it_is(self):
+        # Only an element's children are split: a text root with two marked runs stays one text.
+        for leaf in (text(f"{PI_MARK}tgt d{COMMENT_MARK}note"), comment("c"), pi("t d")):
+            assert split_sentinel_text(leaf) is leaf
+
     # Marks that are special inside a regular-expression character class, among any others.
     MARKS = st.lists(
         st.sampled_from("]^-\\[" + PI_MARK + COMMENT_MARK) | st.characters(),

@@ -17,6 +17,7 @@ from ltlx.terms import (
     apply_subst,
     is_ground,
     match,
+    subterms,
     term_to_node,
     unify,
     variables_of,
@@ -463,3 +464,20 @@ class TestTermToNodeUnderSubstitution:
             assert got == outcome(lambda: term_to_node(fully_applied(theta, term))), (term, theta)
             kinds.add(got[0] if isinstance(got, tuple) else "node")
         assert kinds == {"node", ShapeError, UnboundOutputError}
+
+
+class TestSubterms:
+    def test_pre_order_left_to_right_and_nodes_are_leaves(self):
+        inner = Seq((Atom("a"), element("e", [], [text("t")])))
+        term = Compound("f", (Var("X"), inner, Compound("g", (Int(1),)), Str("s")))
+        assert list(subterms(term)) == [
+            term, Var("X"), inner, Atom("a"), inner.items[1], term.args[2], Int(1), Str("s")
+        ]
+
+    def test_a_deep_term_is_walked_without_recursion(self):
+        # 10 000 levels, ten times Python's default recursion limit.
+        term = Var("X")
+        for _ in range(10_000):
+            term = Compound("f", (term,))
+        assert variables_of(term) == {"X"}
+        assert is_ground(term) is False
